@@ -1,7 +1,6 @@
 // Benchmarks regenerating the paper's complexity claims — one benchmark
-// family per experiment of DESIGN.md §3 (the paper has no numeric tables;
-// these are its measurable claims). EXPERIMENTS.md records representative
-// output and compares the measured shape against each theorem.
+// family per measurable claim (the paper has no numeric tables). `make
+// bench` snapshots representative output into BENCH_<date>.json.
 package dregex_test
 
 import (

@@ -4,7 +4,11 @@
 // protocol cannot drift between the two sides.
 package client
 
-import "time"
+import (
+	"fmt"
+	"strings"
+	"time"
+)
 
 // Syntax names accepted by the API ("syntax" fields). An empty string
 // selects DTD content-model notation.
@@ -108,24 +112,37 @@ type MatchResponse struct {
 // ValidateRequest is the JSON body of POST /v1/validate. The endpoint also
 // accepts the XML document as a raw (non-JSON) body with the schema named
 // in the ?schema= query parameter — the allocation-lean path, since the
-// document then streams straight from the connection.
+// server then reads the body straight into a pooled buffer.
 type ValidateRequest struct {
 	Schema string `json:"schema"`
 	Doc    string `json:"doc"`
 }
 
-// ValidationError is one violation found while validating a document.
+// ValidationError is one violation found while validating a document. It
+// is both the wire type and the validators' own error type: the DTD and
+// XSD validators report exactly this struct.
 type ValidationError struct {
-	Path    string `json:"path"`
+	Path    string `json:"path"` // slash-separated element path
 	Element string `json:"element"`
 	Msg     string `json:"msg"`
 	// Line and Col locate the violation in the document (1-based; columns
-	// count runes). Zero when the server reported no position.
+	// count runes). Zero when no position is available.
 	Line int `json:"line,omitempty"`
 	Col  int `json:"col,omitempty"`
 	// Expected lists the element names that would have been legal at the
 	// failure point (content-model violations only).
 	Expected []string `json:"expected,omitempty"`
+}
+
+func (e ValidationError) Error() string {
+	msg := e.Msg
+	if len(e.Expected) > 0 {
+		msg = fmt.Sprintf("%s (expected one of: %s)", msg, strings.Join(e.Expected, ", "))
+	}
+	if e.Line > 0 {
+		return fmt.Sprintf("%d:%d: %s: <%s>: %s", e.Line, e.Col, e.Path, e.Element, msg)
+	}
+	return fmt.Sprintf("%s: <%s>: %s", e.Path, e.Element, msg)
 }
 
 // ValidateResponse is the body of a successful POST /v1/validate. A

@@ -92,16 +92,7 @@ func run(args []string, stderr io.Writer) int {
 	start := time.Now()
 	results := xsd.NewValidator(s, *workers).ValidateFiles(paths)
 	elapsed := time.Since(start)
-	reports := make([]cli.DocReport[xsd.ValidationError], len(results))
-	for i, r := range results {
-		reports[i] = cli.DocReport[xsd.ValidationError]{
-			Path: r.Name, Valid: r.Valid(), Errors: r.Errors,
-		}
-		if r.Err != nil {
-			reports[i].Error = r.Err.Error()
-		}
-	}
-	invalid, err := cli.PrintReports(reports, *jsonOut, *quiet)
+	invalid, err := cli.PrintReports(cli.Reports(results), *jsonOut, *quiet)
 	if err != nil {
 		fmt.Fprintln(stderr, "error:", err)
 		return 1

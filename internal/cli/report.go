@@ -4,15 +4,28 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"dregex/internal/validate"
 )
 
-// DocReport is the per-document outcome the corpus validators print; the
-// error element type is the front end's own ValidationError.
-type DocReport[E error] struct {
-	Path   string `json:"path"`
-	Valid  bool   `json:"valid"`
-	Errors []E    `json:"errors,omitempty"`
-	Error  string `json:"error,omitempty"`
+// DocReport is the per-document outcome the corpus validators print.
+type DocReport struct {
+	Path   string                     `json:"path"`
+	Valid  bool                       `json:"valid"`
+	Errors []validate.ValidationError `json:"errors,omitempty"`
+	Error  string                     `json:"error,omitempty"`
+}
+
+// Reports turns validation results into the reports PrintReports renders.
+func Reports(results []validate.Result) []DocReport {
+	reports := make([]DocReport, len(results))
+	for i, r := range results {
+		reports[i] = DocReport{Path: r.Name, Valid: r.Valid(), Errors: r.Errors}
+		if r.Err != nil {
+			reports[i].Error = r.Err.Error()
+		}
+	}
+	return reports
 }
 
 // PrintReports renders validation reports to stdout — an indented JSON
@@ -20,7 +33,7 @@ type DocReport[E error] struct {
 // the summary always prints) — and returns the number of invalid
 // documents. This is the one report surface shared by xmlvalid and
 // xsdvalid, so output format and exit semantics cannot drift apart.
-func PrintReports[E error](reports []DocReport[E], jsonOut, quiet bool) (invalid int, err error) {
+func PrintReports(reports []DocReport, jsonOut, quiet bool) (invalid int, err error) {
 	for _, r := range reports {
 		if !r.Valid {
 			invalid++

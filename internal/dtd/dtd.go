@@ -41,11 +41,9 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 
 	"dregex"
-	"dregex/internal/match"
-	"dregex/internal/run"
+	"dregex/internal/validate"
 	"dregex/internal/xmltok"
 )
 
@@ -103,6 +101,9 @@ type Element struct {
 	allowed map[string]bool
 	// DupName is the repeated name making a mixed model nondeterministic.
 	DupName string
+
+	// content is the declaration as the validation driver sees it.
+	content *validate.Content
 }
 
 // DTD is a set of compiled element declarations.
@@ -122,10 +123,13 @@ type DTD struct {
 
 	cache *dregex.Cache
 	// subset is the internal-subset text this DTD was parsed from
-	// (DocumentDTD sets it; empty for external DTDs), letting validate
+	// (DocumentDTD sets it; empty for external DTDs), letting validation
 	// skip re-scanning a document's DOCTYPE whose subset is the very text
 	// Entities already came from — the standalone-mode common case.
 	subset string
+	// schema is the DTD as the validation driver sees it: every element
+	// in one namespace, plus the DOCTYPE, entity and ATTLIST rules.
+	schema validate.Schema
 }
 
 // defaultCache backs Parse: content models repeat heavily across schema
@@ -148,6 +152,13 @@ func ParseWithCache(src string, cache *dregex.Cache) (*DTD, error) {
 	src = StripBOM(src)
 	d := &DTD{Elements: map[string]*Element{}, Entities: map[string]string{}}
 	d.cache = cache
+	d.schema = validate.Schema{
+		Lang:     "dtd",
+		Lookup:   d.lookup,
+		Entities: d.Entities,
+		Doctype:  d.doctype,
+		Attrs:    d.checkAttrs,
+	}
 	err := scanDecls(src, func(decl Decl) error {
 		switch decl.Kind {
 		case DeclElement:
@@ -180,6 +191,7 @@ func (d *DTD) addElement(src string, decl Decl) error {
 		return posErr(src, decl.Offset, "%s", strings.TrimPrefix(err.Error(), "dtd: "))
 	}
 	el.Offset = decl.Offset
+	el.content = el.describe()
 	d.Elements[decl.Name] = el
 	d.Order = append(d.Order, decl.Name)
 	return nil
@@ -312,6 +324,31 @@ func compileElement(name, model string, cache *dregex.Cache) (*Element, error) {
 	}
 }
 
+// Shared driver contents for the declarations that need no content model
+// of their own — EMPTY, ANY and text-only (#PCDATA) leaves, the bulk of a
+// large DTD — so describing them costs no memory per element.
+var (
+	emptyContent  = &validate.Content{Kind: validate.Empty, Model: "EMPTY"}
+	anyContent    = &validate.Content{Kind: validate.Any, Model: "ANY"}
+	pcdataContent = &validate.Content{Kind: validate.Mixed, Model: "(#PCDATA)"}
+)
+
+// describe returns the declaration's content as the validation driver
+// sees it.
+func (el *Element) describe() *validate.Content {
+	switch {
+	case el.Kind == Empty:
+		return emptyContent
+	case el.Kind == Any:
+		return anyContent
+	case el.Kind == Mixed && el.Model == pcdataContent.Model:
+		return pcdataContent
+	case el.Kind == Mixed:
+		return &validate.Content{Kind: validate.Mixed, Model: el.Model, Names: el.allowed}
+	}
+	return &validate.Content{Kind: validate.Children, Model: el.Model, Plain: el.matcher}
+}
+
 // compileMixed handles (#PCDATA) and (#PCDATA | a | b)* — the case the
 // paper's §1 notes Xerces special-cases with a linear procedure: the model
 // is deterministic iff the listed names are distinct.
@@ -439,331 +476,62 @@ func (el *Element) Stats() dregex.Stats {
 
 // ValidationError describes one violation found while validating a
 // document.
-type ValidationError struct {
-	Path    string `json:"path"` // slash-separated element path
-	Element string `json:"element"`
-	Msg     string `json:"msg"`
-	// Line and Col locate the violation in the document (1-based; columns
-	// count runes). Zero when no position is available.
-	Line int `json:"line,omitempty"`
-	Col  int `json:"col,omitempty"`
-	// Expected lists the element names that would have been legal at the
-	// failure point (content-model violations only): the run.Runner
-	// ExpectedNext set of the element's streaming matcher.
-	Expected []string `json:"expected,omitempty"`
-}
+type ValidationError = validate.ValidationError
 
-func (e ValidationError) Error() string {
-	msg := e.Msg
-	if len(e.Expected) > 0 {
-		msg = fmt.Sprintf("%s (expected one of: %s)", msg, strings.Join(e.Expected, ", "))
-	}
-	if e.Line > 0 {
-		return fmt.Sprintf("%d:%d: %s: <%s>: %s", e.Line, e.Col, e.Path, e.Element, msg)
-	}
-	return fmt.Sprintf("%s: <%s>: %s", e.Path, e.Element, msg)
-}
-
-// frame is the per-open-element state of a validation pass. The name
-// aliases the document buffer — no per-element string is materialized.
-type frame struct {
-	el     *Element
-	name   []byte
-	stream match.Stream // value: per-frame, no allocation
-	failed bool
-}
-
-// pendingRef is one IDREF occurrence awaiting document-end resolution
-// (IDs may be declared after the references pointing at them). The value
-// lives in docState.refArena — attribute values can sit in tokenizer
-// scratch that the next token invalidates — and elem aliases the document
-// buffer.
-type pendingRef struct {
-	lo, hi int // value span in refArena
-	off    int // byte offset of the referencing attribute
-	elem   []byte
-}
-
-// maxKeepBuf caps the document buffer a reused docState retains between
-// documents, so one huge outlier does not pin its memory forever.
-const maxKeepBuf = 1 << 20
-
-// docState is the reusable scratch of one validation pass. A zero value is
-// ready; reusing one across documents (one per Validator worker) keeps the
-// element stack, the tokenizer's internal buffers and the read buffer, so
-// steady-state validation performs no per-document allocation.
-type docState struct {
-	stack []frame
-	tok   xmltok.Tokenizer
-	// buf holds the whole document when validating from an io.Reader.
-	buf []byte
-	// ids collects the document's ID attribute values; refs/refArena the
-	// IDREF occurrences to resolve once the document has been read.
-	ids      map[string]struct{}
-	refs     []pendingRef
-	refArena []byte
-	// symbols and docBytes meter the last validation for observability:
-	// content-model symbols fed to streaming engines, and tokenized
-	// document bytes. Plain ints — bumping them costs nothing on the
-	// 0-alloc hot path; callers aggregate them into shared counters.
-	symbols  int
-	docBytes int
-	// cp is the cooperative cancellation point probed once per token; it
-	// stays disarmed (one branch per token) unless SetDeadline armed it.
-	cp run.Checkpoint
-}
-
-func (st *docState) addRef(val []byte, off int, elem []byte) {
-	lo := len(st.refArena)
-	st.refArena = append(st.refArena, val...)
-	st.refs = append(st.refs, pendingRef{lo, len(st.refArena), off, elem})
-}
-
-func (st *docState) addRefString(val string, off int, elem []byte) {
-	lo := len(st.refArena)
-	st.refArena = append(st.refArena, val...)
-	st.refs = append(st.refs, pendingRef{lo, len(st.refArena), off, elem})
-}
+// DocState is the reusable per-worker scratch of a validation pass, for
+// long-running callers (the dregexd server pools these per schema). A zero
+// value is ready; see validate.DocState for the reuse contract.
+type DocState = validate.DocState
 
 // Validate checks an XML document against the DTD: every element must be
 // declared, its children sequence must match its content model (evaluated
 // with a streaming simulator — one pass, no buffering of child lists),
-// text content must be allowed, and attributes must conform to the
-// element's <!ATTLIST> declarations (types, required/fixed constraints,
-// document-wide ID uniqueness and IDREF resolution). When the document
-// carries a <!DOCTYPE> declaration, the root element must match its name.
-// It returns all violations found, or nil.
+// text content must be allowed, attributes must conform to the element's
+// <!ATTLIST> declarations (types, required/fixed constraints, document-wide
+// ID uniqueness and IDREF resolution), and there must be exactly one root
+// element. When the document carries a <!DOCTYPE> declaration, the root
+// element must match its name. It returns all violations found, or nil.
 func (d *DTD) Validate(r io.Reader) ([]ValidationError, error) {
-	var st docState
-	return d.validate(r, &st)
+	return d.schema.ValidateReusing(r, new(DocState))
 }
 
 // ValidateBytes is Validate on an in-memory document, skipping the read.
 func (d *DTD) ValidateBytes(doc []byte) ([]ValidationError, error) {
-	var st docState
-	return d.validateBytes(doc, &st)
+	return d.schema.ValidateBytesReusing(doc, new(DocState))
 }
-
-// DocState is the reusable per-worker scratch of a validation pass, for
-// long-running callers outside the package (the dregexd server pools these
-// per schema). A zero value is ready; see docState for the reuse contract.
-type DocState struct{ st docState }
 
 // ValidateReusing is Validate with caller-managed scratch: reusing one
 // DocState across documents keeps every internal buffer — element stack,
 // tokenizer scratch, read buffer — so steady-state validation performs no
 // per-document allocation. A DocState must not be used concurrently.
 func (d *DTD) ValidateReusing(r io.Reader, st *DocState) ([]ValidationError, error) {
-	return d.validate(r, &st.st)
+	return d.schema.ValidateReusing(r, st)
 }
 
 // ValidateBytesReusing is ValidateBytes with caller-managed scratch.
 func (d *DTD) ValidateBytesReusing(doc []byte, st *DocState) ([]ValidationError, error) {
-	return d.validateBytes(doc, &st.st)
+	return d.schema.ValidateBytesReusing(doc, st)
 }
 
-// Symbols reports how many content-model symbols (child elements fed to
-// the streaming engines) the last validation through this DocState
-// consumed — the |w| of the paper's O(|e| + |w|·f) bound, for live
-// ns-per-symbol estimates.
-func (st *DocState) Symbols() int { return st.st.symbols }
-
-// DocBytes reports the size of the last document validated through this
-// DocState (the bytes the tokenizer scanned).
-func (st *DocState) DocBytes() int { return st.st.docBytes }
-
-// SetDeadline arms cooperative cancellation for subsequent validations
-// through this DocState: the token loop aborts with an error satisfying
-// errors.Is(err, run.ErrCanceled) once done closes, or
-// run.ErrDeadlineExceeded once the absolute deadline passes. Both zero
-// arguments disarm, which is also the zero DocState's behavior — the
-// disarmed per-token cost is a single branch, so the 0-alloc validation
-// path is undisturbed. The arming persists across documents until the
-// next SetDeadline, so per-request callers must re-arm (or disarm) each
-// time they check a state out of a pool.
-func (st *DocState) SetDeadline(done <-chan struct{}, deadline time.Time) {
-	st.st.cp.Arm(done, deadline)
+// lookup resolves an element name for the validation driver: a DTD
+// declares every element in one namespace.
+func (d *DTD) lookup(name []byte) *validate.Content {
+	if el := d.Elements[string(name)]; el != nil {
+		return el.content
+	}
+	return nil
 }
 
-func (d *DTD) validate(r io.Reader, st *docState) ([]ValidationError, error) {
-	data, err := xmltok.ReadAll(r, st.buf)
-	st.buf = data
-	if err != nil {
-		return nil, fmt.Errorf("dtd: read: %w", err)
+// doctype is the DTD's DOCTYPE rule for the validation driver: the root
+// element must match the DOCTYPE name, and a document may declare its own
+// entities in the internal subset (common when validating against an
+// external DTD); see docEntities for the precedence and skip rules.
+func (d *DTD) doctype(directive string) (string, map[string]string) {
+	name, ok := doctypeName(directive)
+	if !ok {
+		return "", nil
 	}
-	errs, verr := d.validateBytes(data, st)
-	if cap(st.buf) > maxKeepBuf {
-		st.buf = nil
-	}
-	return errs, verr
-}
-
-func (d *DTD) validateBytes(data []byte, st *docState) ([]ValidationError, error) {
-	tok := &st.tok
-	tok.Reset(data)
-	// Internal general entities declared by the DTD resolve during
-	// tokenization; predefined entities (&lt; &amp; …) work regardless. A
-	// nil or empty map simply adds nothing.
-	tok.SetEntities(d.Entities)
-	var errs []ValidationError
-	stack := st.stack[:0]
-	defer func() {
-		// Zero the whole backing array, not just the live prefix: popped
-		// frames past len would otherwise pin the previous document's DTD
-		// (and its engines) for the worker's lifetime in standalone mode.
-		stack = stack[:cap(stack)]
-		clear(stack)
-		//dregex:ok spanretain frames hold Name() spans, which index the stable document buffer (never scratch) and are cleared here before the next document
-		st.stack = stack[:0]
-	}()
-	clear(st.ids)
-	st.refs = st.refs[:0]
-	st.refArena = st.refArena[:0]
-	st.symbols = 0
-	st.docBytes = len(data)
-	doctype := ""
-	sawRoot := false
-	// path renders the open-element stack; callers composing the current
-	// element's own path append "/"+name themselves, so the empty stack
-	// (root not yet pushed, or just popped) renders as "" — not "/", which
-	// would double the slash in "//root".
-	path := func() string {
-		if len(stack) == 0 {
-			return ""
-		}
-		parts := make([]string, 0, len(stack))
-		for _, f := range stack {
-			parts = append(parts, string(f.name))
-		}
-		return "/" + strings.Join(parts, "/")
-	}
-	// verr stamps a violation with the document position of offset off.
-	verr := func(path, elem string, off int, msg string) ValidationError {
-		line, col := tok.Position(off)
-		return ValidationError{Path: path, Element: elem, Msg: msg, Line: line, Col: col}
-	}
-	for {
-		if err := st.cp.Check(); err != nil {
-			return errs, fmt.Errorf("dtd: validation aborted: %w", err)
-		}
-		kind, err := tok.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return errs, fmt.Errorf("dtd: malformed XML: %w", err)
-		}
-		switch kind {
-		case xmltok.Directive:
-			if !sawRoot {
-				directive := string(tok.Text())
-				if name, ok := doctypeName(directive); ok {
-					doctype = name
-					// A document may declare its own entities in the
-					// internal subset (common when validating against an
-					// external DTD); see docEntities for the precedence
-					// and skip rules.
-					if merged := d.docEntities(directive); merged != nil {
-						tok.SetEntities(merged)
-					}
-				}
-			}
-		case xmltok.StartElement:
-			name := tok.Local()
-			off := tok.Offset()
-			if !sawRoot {
-				sawRoot = true
-				if doctype != "" && string(name) != doctype {
-					errs = append(errs, verr("/"+string(name), string(name), off,
-						fmt.Sprintf("root element <%s> does not match DOCTYPE %s", name, doctype)))
-				}
-			}
-			// Record the child in the parent's model.
-			if len(stack) > 0 {
-				p := &stack[len(stack)-1]
-				switch {
-				case p.el == nil || p.failed:
-					// parent already failed; keep descending silently
-				case p.el.Kind == Any:
-				case p.el.Kind == Mixed:
-					if !p.el.allowed[string(name)] {
-						errs = append(errs, verr(path(), string(p.name), off,
-							fmt.Sprintf("child <%s> not allowed in mixed model %s", name, p.el.Model)))
-						p.failed = true
-					}
-				case p.el.Kind == Empty:
-					errs = append(errs, verr(path(), string(p.name), off,
-						fmt.Sprintf("EMPTY element has child <%s>", name)))
-					p.failed = true
-				default:
-					st.symbols++
-					if !p.stream.FeedBytes(name) {
-						ve := verr(path(), string(p.name), off,
-							fmt.Sprintf("child <%s> violates content model %s", name, p.el.Model))
-						ve.Expected = run.ExpectedNames(&p.stream, nil)
-						errs = append(errs, ve)
-						p.failed = true
-					}
-				}
-			}
-			el := d.Elements[string(name)]
-			f := frame{el: el, name: name}
-			if el == nil {
-				errs = append(errs, verr(path()+"/"+string(name), string(name), off,
-					"element not declared"))
-			} else if el.Kind == Children {
-				if !el.Deterministic {
-					errs = append(errs, verr(path()+"/"+string(name), string(name), off,
-						"content model is nondeterministic; cannot validate"))
-					f.failed = true
-				} else {
-					el.matcher.InitStream(&f.stream)
-				}
-			}
-			errs = d.checkAttrs(st, el, name, off, errs, verr, path)
-			stack = append(stack, f)
-		case xmltok.EndElement:
-			// Pointer into the backing array, not a copy: ExpectedNames
-			// takes the stream's address, and a copied frame would escape
-			// to the heap on every single EndElement. The popped slot stays
-			// intact until the next push.
-			f := &stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if f.el != nil && f.el.Kind == Children && !f.failed {
-				if !f.stream.Accepts() {
-					ve := verr(path()+"/"+string(f.name), string(f.name), tok.Offset(),
-						fmt.Sprintf("children end prematurely for content model %s", f.el.Model))
-					ve.Expected = run.ExpectedNames(&f.stream, nil)
-					errs = append(errs, ve)
-				}
-			}
-		case xmltok.Text:
-			if len(stack) == 0 {
-				continue
-			}
-			p := &stack[len(stack)-1]
-			if p.el == nil || p.failed {
-				continue
-			}
-			if len(attTrim(tok.Text())) == 0 {
-				continue
-			}
-			if p.el.Kind == Children || p.el.Kind == Empty {
-				errs = append(errs, verr(path(), string(p.name), tok.Offset(),
-					"text content not allowed"))
-				p.failed = true
-			}
-		}
-	}
-	// IDs can be declared after the IDREFs pointing at them, so resolution
-	// waits until the whole document has been read.
-	for _, ref := range st.refs {
-		if _, ok := st.ids[string(st.refArena[ref.lo:ref.hi])]; !ok {
-			errs = append(errs, verr("/"+string(ref.elem), string(ref.elem), ref.off,
-				fmt.Sprintf("IDREF %q matches no ID in the document", st.refArena[ref.lo:ref.hi])))
-		}
-	}
-	return errs, nil
+	return name, d.docEntities(directive)
 }
 
 // isXmlnsAttr reports whether name declares a namespace (xmlns or
@@ -779,22 +547,10 @@ func isXmlnsAttr(name []byte) bool {
 // its type and #FIXED constraints, required attributes must be present,
 // ID values must be unique document-wide, and IDREF/IDREFS values
 // (including defaulted ones) are queued for document-end resolution.
-func (d *DTD) checkAttrs(st *docState, el *Element, name []byte, off int,
-	errs []ValidationError, verr func(string, string, int, string) ValidationError,
-	path func() string) []ValidationError {
+func (d *DTD) checkAttrs(st *DocState, tok *xmltok.Tokenizer, name []byte, off int, declared bool) {
 	al := d.Attlists[string(name)]
-	if el == nil && al == nil {
-		return errs // element undeclared: already reported, nothing to check against
-	}
-	tok := &st.tok
-	// The element path is only materialized if a violation is reported —
-	// the error-free hot path must not build strings per element.
-	cached := ""
-	epath := func() string {
-		if cached == "" {
-			cached = path() + "/" + string(name)
-		}
-		return cached
+	if !declared && al == nil {
+		return // element undeclared: already reported, nothing to check against
 	}
 	nattr := tok.AttrCount()
 	for i := 0; i < nattr; i++ {
@@ -807,40 +563,31 @@ func (d *DTD) checkAttrs(st *docState, el *Element, name []byte, off int,
 			def = al.defBytes(aname)
 		}
 		if def == nil {
-			errs = append(errs, verr(epath(), string(name), tok.AttrNameOffset(i),
-				fmt.Sprintf("attribute %s not declared", aname)))
+			st.Reportf(tok.AttrNameOffset(i), "attribute %s not declared", aname)
 			continue
 		}
 		val := tok.AttrValue(i)
 		if msg := def.checkValue(val); msg != "" {
-			errs = append(errs, verr(epath(), string(name), tok.AttrNameOffset(i),
-				fmt.Sprintf("attribute %s: %s", aname, msg)))
+			st.Reportf(tok.AttrNameOffset(i), "attribute %s: %s", aname, msg)
 			continue
 		}
 		switch def.Type {
 		case AttID:
-			id := attTrim(val)
-			if _, dup := st.ids[string(id)]; dup {
-				errs = append(errs, verr(epath(), string(name), tok.AttrNameOffset(i),
-					fmt.Sprintf("ID %q already used in this document", id)))
-			} else {
-				if st.ids == nil {
-					st.ids = map[string]struct{}{}
-				}
-				st.ids[string(id)] = struct{}{}
+			if id := attTrim(val); !st.ID(id) {
+				st.Reportf(tok.AttrNameOffset(i), "ID %q already used in this document", id)
 			}
 		case AttIDREF:
-			st.addRef(attTrim(val), tok.AttrNameOffset(i), name)
+			st.Ref(attTrim(val), tok.AttrNameOffset(i))
 		case AttIDREFS:
 			aoff := tok.AttrNameOffset(i)
 			eachField(val, func(f []byte) bool {
-				st.addRef(f, aoff, name)
+				st.Ref(f, aoff)
 				return true
 			})
 		}
 	}
 	if al == nil {
-		return errs
+		return
 	}
 	for _, req := range al.required {
 		found := false
@@ -851,8 +598,7 @@ func (d *DTD) checkAttrs(st *docState, el *Element, name []byte, off int,
 			}
 		}
 		if !found {
-			errs = append(errs, verr(epath(), string(name), off,
-				fmt.Sprintf("required attribute %s missing", req.Name)))
+			st.Reportf(off, "required attribute %s missing", req.Name)
 		}
 	}
 	// Defaulted IDREF/IDREFS values join the document's reference graph
@@ -869,14 +615,13 @@ func (d *DTD) checkAttrs(st *docState, el *Element, name []byte, off int,
 			continue
 		}
 		if def.Type == AttIDREF {
-			st.addRefString(strings.TrimSpace(def.Value), off, name)
+			st.RefString(strings.TrimSpace(def.Value), off)
 		} else {
 			for _, f := range strings.Fields(def.Value) {
-				st.addRefString(f, off, name)
+				st.RefString(f, off)
 			}
 		}
 	}
-	return errs
 }
 
 // doctypeName extracts the root element name from a "DOCTYPE …" directive

@@ -244,6 +244,27 @@ func TestValidateDoctypeRootMismatch(t *testing.T) {
 	}
 }
 
+// TestValidateOneRoot: a document has exactly one root element. A second
+// top-level element is reported (its subtree skipped), and a document with
+// no element at all is a document-level error, not a valid document.
+func TestValidateOneRoot(t *testing.T) {
+	d, err := Parse(`<!ELEMENT a (b, c)><!ELEMENT b EMPTY><!ELEMENT c EMPTY>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := validateString(t, d, `<a><b/><c/></a><a><b/><c/></a>`)
+	if len(errs) != 1 || !strings.Contains(errs[0].Msg, "more than one root element") ||
+		errs[0].Path != "/a" || errs[0].Col != 16 {
+		t.Errorf("two roots: errs = %v, want one more-than-one-root error at 1:16", errs)
+	}
+	for _, doc := range []string{"", `<?xml version="1.0"?>`, `<!DOCTYPE a><!-- no element -->`} {
+		errs, err := d.ValidateBytes([]byte(doc))
+		if err == nil || err.Error() != "dtd: document has no root element" || len(errs) != 0 {
+			t.Errorf("rootless document %q: errs=%v err=%v, want dtd: document has no root element", doc, errs, err)
+		}
+	}
+}
+
 func TestInternalSubset(t *testing.T) {
 	doc := []byte(`<?xml version="1.0"?>
 <!DOCTYPE note [

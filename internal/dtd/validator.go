@@ -1,37 +1,32 @@
-// Validator: corpus-scale concurrent validation. One DTD's compiled
-// content models (and their lazily built engines) are shared by every
-// worker — engines are immutable after construction and engine builds are
-// guarded by sync.Once — while all per-document state lives in a
-// per-worker docState whose frame stack (with its value match.Streams) is
-// reused from document to document. Steady state is therefore race-clean
-// and allocation-free on the matching path: validating the next document
-// costs XML decoding plus O(1)-state stream feeding, nothing else.
+// Validator: corpus-scale concurrent validation through the shared
+// validation driver (package validate). One DTD's compiled content models
+// (and their lazily built engines) are shared by every worker — engines
+// are immutable after construction and engine builds are guarded by
+// sync.Once — while all per-document state lives in a per-worker DocState
+// reused from document to document.
 package dtd
 
 import (
-	"os"
-	"runtime"
-
 	"dregex"
-	"dregex/internal/pool"
+	"dregex/internal/validate"
 )
 
 // Validator validates many documents concurrently against one DTD (or,
 // in standalone mode, against each document's own internal DTD subset).
 // A Validator is safe for concurrent use and may be reused.
-type Validator struct {
-	d       *DTD
-	cache   *dregex.Cache
-	workers int
-}
+type Validator = validate.Validator
+
+// Doc is one in-memory document to validate.
+type Doc = validate.Doc
+
+// Result is the validation outcome for one document. In standalone mode a
+// missing or unparsable internal subset is the document's Err.
+type Result = validate.Result
 
 // NewValidator returns a pool validating against d with the given number
 // of workers (≤ 0 selects GOMAXPROCS).
 func NewValidator(d *DTD, workers int) *Validator {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Validator{d: d, workers: workers}
+	return validate.NewValidator(&d.schema, workers)
 }
 
 // NewStandaloneValidator returns a pool that validates each document
@@ -40,93 +35,11 @@ func NewValidator(d *DTD, workers int) *Validator {
 // repeated across the corpus — the common case in the wild — compile once
 // however many documents carry them.
 func NewStandaloneValidator(cache *dregex.Cache, workers int) *Validator {
-	if cache == nil {
-		cache = defaultCache
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Validator{cache: cache, workers: workers}
-}
-
-// Doc is one in-memory document to validate.
-type Doc struct {
-	Name string
-	Data []byte
-}
-
-// Result is the validation outcome for one document.
-type Result struct {
-	Name string
-	// Errors are the DTD violations found; empty for a valid document.
-	Errors []ValidationError
-	// Err is a document-level failure: unreadable file, malformed XML, or
-	// (standalone mode) a missing or unparsable internal subset.
-	Err error
-}
-
-// Valid reports whether the document was read, parsed and validated with
-// no violations.
-func (r Result) Valid() bool { return r.Err == nil && len(r.Errors) == 0 }
-
-// ValidateDocs validates in-memory documents concurrently; results[i]
-// corresponds to docs[i].
-func (v *Validator) ValidateDocs(docs []Doc) []Result {
-	results := make([]Result, len(docs))
-	v.run(len(docs), func(i int, st *docState) {
-		results[i] = v.validateOne(docs[i].Name, docs[i].Data, st)
-	})
-	return results
-}
-
-// ValidateFiles reads and validates the named files concurrently (file
-// I/O happens on the workers too); results[i] corresponds to paths[i].
-// With a fixed DTD each document streams straight from its open file —
-// O(decoder-buffer) memory however large the file; only standalone mode
-// buffers documents (the prolog is read for DocumentDTD, then the same
-// bytes are validated).
-func (v *Validator) ValidateFiles(paths []string) []Result {
-	results := make([]Result, len(paths))
-	v.run(len(paths), func(i int, st *docState) {
-		results[i] = v.validateFile(paths[i], st)
-	})
-	return results
-}
-
-func (v *Validator) validateFile(path string, st *docState) Result {
-	if v.d == nil {
-		data, err := os.ReadFile(path)
+	return validate.NewPerDocValidator(func(doc []byte) (*validate.Schema, error) {
+		d, err := DocumentDTD(doc, cache)
 		if err != nil {
-			return Result{Name: path, Err: err}
+			return nil, err
 		}
-		return v.validateOne(path, data, st)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return Result{Name: path, Err: err}
-	}
-	defer f.Close()
-	errs, err := v.d.validate(f, st)
-	return Result{Name: path, Errors: errs, Err: err}
-}
-
-// run distributes n jobs over the worker pool, handing each worker its own
-// reusable docState.
-func (v *Validator) run(n int, job func(i int, st *docState)) {
-	pool.RunWithStates(n, v.workers, func(st *docState, i int) {
-		job(i, st)
-	})
-}
-
-func (v *Validator) validateOne(name string, data []byte, st *docState) Result {
-	d := v.d
-	if d == nil {
-		var err error
-		d, err = DocumentDTD(data, v.cache)
-		if err != nil {
-			return Result{Name: name, Err: err}
-		}
-	}
-	errs, err := d.validateBytes(data, st)
-	return Result{Name: name, Errors: errs, Err: err}
+		return &d.schema, nil
+	}, workers)
 }

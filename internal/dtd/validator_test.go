@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dregex"
+	"dregex/internal/validate"
 )
 
 func corpusDocs(n int) []Doc {
@@ -142,4 +145,33 @@ func TestValidatorFiles(t *testing.T) {
 	if last := results[len(results)-1]; last.Err == nil {
 		t.Error("missing file not reported")
 	}
+}
+
+// TestDocStateKeepsNoDTD: a reused DocState keeps nothing of the DTD it
+// last validated against, so standalone validation — one DTD per document
+// — does not pin earlier documents' DTDs for a worker's lifetime.
+func TestDocStateKeepsNoDTD(t *testing.T) {
+	var st DocState
+	collected := make(chan struct{})
+	func() {
+		doc := []byte(`<!DOCTYPE r [<!ELEMENT r (a)*><!ELEMENT a EMPTY>]><r><a/><a/></r>`)
+		d, err := DocumentDTD(doc, dregex.NewCache(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(d.Elements["r"].content, func(*validate.Content) { close(collected) })
+		if errs, err := d.ValidateBytesReusing(doc, &st); err != nil || len(errs) != 0 {
+			t.Fatalf("errs=%v err=%v", errs, err)
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(&st)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a reused DocState keeps the previous document's DTD alive")
 }

@@ -170,7 +170,8 @@ func (b *Batch) getScratch(n int) *batchScratch {
 
 // MatchAll matches every word (of interned symbols) and returns one verdict
 // per word. The expression is traversed once; total time is
-// O(|e| + Σ|w_i|) up to the stack-scan caveat documented in DESIGN.md.
+// O(|e| + Σ|w_i|), except that locating a consumer's entry walks the
+// skeleton's rightmost-path stack.
 func (b *Batch) MatchAll(ws [][]ast.Symbol) []bool {
 	sc := b.getScratch(len(ws))
 	res := b.matchAll(ws, sc)

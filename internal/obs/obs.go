@@ -227,8 +227,9 @@ func escapeLabelValue(b *strings.Builder, v string) {
 	}
 }
 
-// snapshotFams returns the family list in registration order with series
-// slices copied, so encoders can walk them outside the lock.
+// snapshotFams returns the family list in registration order with every
+// series copied, so encoders can walk them outside the lock: a hot swap
+// re-registering a CounterFunc or GaugeFunc rewrites the callback in place.
 func (r *Registry) snapshotFams() []*family {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -236,7 +237,11 @@ func (r *Registry) snapshotFams() []*family {
 	for _, name := range r.order {
 		f := r.fams[name]
 		c := &family{name: f.name, help: f.help, kind: f.kind, scale: f.scale}
-		c.series = append(c.series, f.series...)
+		c.series = make([]*metric, len(f.series))
+		for i, m := range f.series {
+			cp := *m
+			c.series[i] = &cp
+		}
 		out = append(out, c)
 	}
 	return out

@@ -1,9 +1,9 @@
 // Schema registry: named, hot-reloadable DTD and XSD schemas. The map is
 // copy-on-write behind an atomic pointer (see Server.schemas); entries are
-// immutable once published, and each owns the sync.Pool of validation
-// states for its compiled schema — so a swapped-out schema, its engines
-// and its pooled states all become garbage together, and pooled frames
-// can never pin a schema that outlived its registration.
+// immutable once published, and each owns the pool of validation states
+// for its compiled schema — so a swapped-out schema, its engines and its
+// pooled states all become garbage together, and pooled frames can never
+// pin a schema that outlived its registration.
 package server
 
 import (
@@ -18,14 +18,20 @@ import (
 	"dregex/internal/dtd"
 	"dregex/internal/pool"
 	"dregex/internal/run"
+	"dregex/internal/validate"
 	"dregex/internal/xsd"
 )
 
+// docValidator is a compiled schema of either kind: *dtd.DTD and
+// *xsd.Schema both validate through the shared driver.
+type docValidator interface {
+	ValidateReusing(r io.Reader, st *validate.DocState) ([]client.ValidationError, error)
+}
+
 // schemaEntry is one registered schema. Immutable after construction.
 type schemaEntry struct {
-	info client.SchemaInfo
-	dtd  *dtd.DTD    // KindDTD
-	xsd  *xsd.Schema // KindXSD
+	info   client.SchemaInfo
+	schema docValidator
 
 	// om holds the per-schema instruments (verdict counters, latency
 	// histogram, symbol/byte counters). The underlying instruments are
@@ -40,10 +46,9 @@ type schemaEntry struct {
 	// bucket's fill state.
 	limiter *rateLimiter
 
-	// Validation-state pools, one per backend. Only the pool matching the
-	// kind is used; requests Get a state, validate, and Put it back.
-	dtdStates pool.StatePool[dtd.DocState]
-	xsdStates pool.StatePool[xsd.DocState]
+	// states pools validation states: requests Get one, validate, and Put
+	// it back.
+	states pool.StatePool[validate.DocState]
 }
 
 // validate checks one document against the entry's schema, riding a pooled
@@ -61,35 +66,14 @@ type schemaEntry struct {
 //dregex:noalloc
 func (e *schemaEntry) validate(r io.Reader, done <-chan struct{}, deadline time.Time) (client.ValidateResponse, error) {
 	start := time.Now()
-	resp := client.ValidateResponse{Schema: e.info.Name}
-	var verrs []client.ValidationError
-	var err error
-	var symbols, docBytes int
-	switch e.info.Kind {
-	case client.KindDTD:
-		st := e.dtdStates.Get()
-		// Arm (or, with zero arguments, disarm) on every checkout: a state
-		// must never carry the previous request's deadline.
-		st.SetDeadline(done, deadline)
-		var es []dtd.ValidationError
-		es, err = e.dtd.ValidateReusing(r, st)
-		symbols, docBytes = st.Symbols(), st.DocBytes()
-		e.dtdStates.Put(st)
-		for _, ve := range es {
-			verrs = append(verrs, client.ValidationError(ve))
-		}
-	case client.KindXSD:
-		st := e.xsdStates.Get()
-		st.SetDeadline(done, deadline)
-		var es []xsd.ValidationError
-		es, err = e.xsd.ValidateReusing(r, st)
-		symbols, docBytes = st.Symbols(), st.DocBytes()
-		e.xsdStates.Put(st)
-		for _, ve := range es {
-			verrs = append(verrs, client.ValidationError(ve))
-		}
-	}
-	resp.Errors = verrs
+	st := e.states.Get()
+	// Arm (or, with zero arguments, disarm) on every checkout: a state
+	// must never carry the previous request's deadline.
+	st.SetDeadline(done, deadline)
+	verrs, err := e.schema.ValidateReusing(r, st)
+	symbols, docBytes := st.Symbols(), st.DocBytes()
+	e.states.Put(st)
+	resp := client.ValidateResponse{Schema: e.info.Name, Errors: verrs}
 	if err != nil {
 		resp.DocError = err.Error()
 	}
@@ -191,67 +175,54 @@ func (s *Server) compileSchema(name, kind string, src []byte) (*schemaEntry, err
 		Kind:      kind,
 		UpdatedAt: time.Now().UTC(),
 	}}
+	// tiers counts the schema's compiled content models per engine tier:
+	// the Auto-ladder resolution of each deterministic regular model, plus
+	// "counter" for numeric (§3.3) XSD models. Nondeterministic models have
+	// no engine and are not counted (they already surface as warnings).
+	e.tiers = make(map[string]int)
 	switch kind {
 	case client.KindDTD:
 		d, err := dtd.ParseWithCache(string(src), s.cache)
 		if err != nil {
 			return nil, err
 		}
-		e.dtd = d
+		e.schema = d
 		e.info.Elements = len(d.Elements)
 		for _, issue := range d.Check() {
 			e.info.Warnings = append(e.info.Warnings,
 				fmt.Sprintf("element %s: %s", issue.Element, issue.Msg))
+		}
+		for _, el := range d.Elements {
+			if el.Kind == dtd.Children && el.CM != nil && el.Deterministic {
+				e.tiers[el.CM.AutoAlgorithm().String()]++
+			}
 		}
 	case client.KindXSD:
 		sch, err := xsd.ParseWithCache(src, s.cache)
 		if err != nil {
 			return nil, err
 		}
-		e.xsd = sch
+		e.schema = sch
 		e.info.Elements = len(sch.Roots)
 		for _, t := range sch.AllTypes {
-			if t.Kind == xsd.Children && !t.Deterministic {
+			switch {
+			case t.Kind != xsd.Children:
+			case !t.Deterministic:
 				e.info.Warnings = append(e.info.Warnings,
 					fmt.Sprintf("type %s: content model %s violates UPA (%s)", t.Name, t.Model, t.Rule))
+			case t.Numeric:
+				e.tiers[dregex.TierCounter]++
+			case t.CM != nil:
+				e.tiers[t.CM.AutoAlgorithm().String()]++
 			}
 		}
 	default:
 		return nil, fmt.Errorf("unknown schema kind %q (want dtd or xsd)", kind)
 	}
-	e.tiers = schemaTiers(e)
 	e.om = s.schemaMetricsFor(name)
 	e.limiter = s.schemaLimiter(name)
 	s.registerTierGauges(name, e.tiers)
 	return e, nil
-}
-
-// schemaTiers counts the entry's compiled content models per engine tier:
-// the Auto-ladder resolution of each deterministic regular model, plus
-// "counter" for numeric (§3.3) XSD models. Nondeterministic models have no
-// engine and are not counted (they already surface as warnings).
-func schemaTiers(e *schemaEntry) map[string]int {
-	tiers := make(map[string]int)
-	switch {
-	case e.dtd != nil:
-		for _, el := range e.dtd.Elements {
-			if el.Kind == dtd.Children && el.CM != nil && el.Deterministic {
-				tiers[el.CM.AutoAlgorithm().String()]++
-			}
-		}
-	case e.xsd != nil:
-		for _, t := range e.xsd.AllTypes {
-			if t.Kind != xsd.Children || !t.Deterministic {
-				continue
-			}
-			if t.Numeric {
-				tiers[dregex.TierCounter]++
-			} else if t.CM != nil {
-				tiers[t.CM.AutoAlgorithm().String()]++
-			}
-		}
-	}
-	return tiers
 }
 
 // storeSchema publishes entry under its name, atomically replacing any

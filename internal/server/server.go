@@ -7,12 +7,13 @@
 // expression that enters through /v1/compile, /v1/match or a registered
 // schema compiles through one shared dregex.Cache, so the steady state of
 // real traffic (schema reuse dominates real corpora) is a hash probe, not
-// a compile. Validation requests borrow a per-schema pooled DocState
-// (sync.Pool), so the frame stacks and stream buffers grown by earlier
-// requests are reused rather than reallocated — the same docState reuse
-// discipline as the corpus validators, adapted to open-ended request
-// traffic. Raw-body validation streams the document straight from the
-// connection into the matcher; nothing is buffered.
+// a compile. DTD and XSD documents validate through the one shared driver
+// (package validate): a request borrows a DocState from the schema's
+// bounded pool.StatePool, so the frame stacks, stream buffers and read
+// buffer grown by earlier requests are reused rather than reallocated —
+// the same DocState reuse discipline as the corpus validators, adapted to
+// open-ended request traffic. A raw-body document is read into that
+// pooled buffer and tokenized in place.
 //
 // Schema hot-reload is atomic: the registry is an immutable map behind an
 // atomic pointer, writers build a new map and swap it, and in-flight

@@ -351,6 +351,28 @@ func TestValidateEndpoint(t *testing.T) {
 	}
 }
 
+// TestValidateRootlessDocument: an empty body is not a valid document, for
+// either schema kind.
+func TestValidateRootlessDocument(t *testing.T) {
+	_, _, c := newTestServer(t)
+	ctx := context.Background()
+	for _, sc := range []struct{ name, kind, src string }{
+		{"note", client.KindDTD, testDTD},
+		{"order", client.KindXSD, testXSD},
+	} {
+		if _, err := c.PutSchema(ctx, sc.name, sc.kind, []byte(sc.src)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Validate(ctx, sc.name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sc.kind + ": document has no root element"; res.Valid || res.DocError != want {
+			t.Errorf("%s: empty body: %+v, want doc_error %q", sc.kind, res, want)
+		}
+	}
+}
+
 func TestStatsEndpoint(t *testing.T) {
 	_, _, c := newTestServer(t)
 	ctx := context.Background()

@@ -3,7 +3,7 @@
 // star-free, bounded plus-depth, mixed-content, CHARE/simple), and random
 // words drawn from or near the language of an expression. It supplies both
 // the fuzzing corpora for the test suite and the inputs for the E1–E9
-// benchmark experiments (see DESIGN.md §3).
+// benchmark experiments (see cmd/benchtab).
 package wordgen
 
 import (

@@ -34,7 +34,9 @@ import (
 	"strings"
 
 	"dregex"
+	"dregex/internal/dtd"
 	"dregex/internal/numeric"
+	"dregex/internal/validate"
 )
 
 // ContentKind classifies a type's content model.
@@ -104,12 +106,9 @@ type Type struct {
 	children   map[string]*ElementDecl
 	childOrder []string
 
-	// AllGroup bookkeeping: member i is allDecl[i], required when
-	// allMin[i] > 0; allOptional is minOccurs=0 on the xs:all particle.
-	allIndex    map[string]int
-	allMin      []int
-	allDecl     []*ElementDecl
-	allOptional bool
+	// content is the type as the validation driver sees it (AllGroup
+	// members live in content.All).
+	content validate.Content
 }
 
 // ElementDecl is one element declaration (global or local).
@@ -131,6 +130,11 @@ type Schema struct {
 	// first in declaration order, then inline anonymous ones — for linting
 	// and reporting.
 	AllTypes []*Type
+
+	// schema is the schema as the validation driver sees it: global roots,
+	// type-scoped child declarations, entities from the document's own
+	// DOCTYPE.
+	schema validate.Schema
 }
 
 // defaultCache backs Parse: content models repeat heavily across schema
@@ -210,7 +214,59 @@ func ParseWithCache(data []byte, cache *dregex.Cache) (*Schema, error) {
 		}
 	}
 	r.s.AllTypes = r.allTypes
+	r.s.describe()
 	return r.s, nil
+}
+
+// describe fills in the driver's view of the schema: every type reachable
+// from a root gets its content description, including the child
+// declarations in its scope (resolved only now — a referenced global
+// element's type may be filled after the content model using it).
+func (s *Schema) describe() {
+	s.schema = validate.Schema{
+		Lang:    "xsd",
+		Roots:   make(map[string]*validate.Content, len(s.Roots)),
+		Doctype: doctype,
+	}
+	seen := map[*Type]bool{}
+	var visit func(t *Type)
+	visit = func(t *Type) {
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		c := &t.content
+		c.Kind, c.Model, c.Text = driverKind[t.Kind], t.Model, t.Mixed
+		c.Plain, c.Counter = t.matcher, t.nmatcher
+		if len(t.children) > 0 {
+			c.Elements = make(map[string]*validate.Content, len(t.children))
+			for name, decl := range t.children {
+				c.Elements[name] = &decl.Type.content
+				visit(decl.Type)
+			}
+		}
+	}
+	for name, decl := range s.Roots {
+		s.schema.Roots[name] = &decl.Type.content
+		visit(decl.Type)
+	}
+}
+
+// driverKind maps content kinds to the validation driver's.
+var driverKind = [...]validate.Kind{
+	EmptyContent: validate.Empty,
+	TextContent:  validate.Simple,
+	Children:     validate.Children,
+	AllGroup:     validate.All,
+	AnyContent:   validate.Any,
+}
+
+// doctype is XSD's DOCTYPE rule for the validation driver: no constraint
+// on the root name, but general entities the internal subset declares
+// (<!ENTITY foo "...">) resolve, so &foo; references are not rejected as
+// malformed XML. Parameter and external entities stay out of scope.
+func doctype(directive string) (string, map[string]string) {
+	return "", dtd.EntitiesFromDoctype(directive)
 }
 
 // resolver carries the state of one Parse.
@@ -413,13 +469,12 @@ func (r *resolver) fillAll(t *Type, p *rawParticle) error {
 	}
 	t.Kind = AllGroup
 	t.Deterministic = true
-	t.allOptional = p.min == 0
 	if p.max != 1 || p.min > 1 {
 		return errAt(p.line, "type %s: xs:all must have minOccurs 0 or 1 and maxOccurs 1", t.Name)
 	}
-	t.allIndex = map[string]int{}
+	all := &validate.AllGroup{Index: map[string]int{}, Optional: p.min == 0}
+	t.content.All = all
 	r.allTypes = append(r.allTypes, t)
-	var names []string
 	for _, item := range p.items {
 		if item.kind != "element" {
 			return errAt(item.line, "type %s: xs:all may contain only element declarations", t.Name)
@@ -434,15 +489,14 @@ func (r *resolver) fillAll(t *Type, p *rawParticle) error {
 		if err != nil {
 			return err
 		}
-		if _, dup := t.allIndex[decl.Name]; dup {
+		if _, dup := all.Index[decl.Name]; dup {
 			return errAt(item.line, "type %s: element %q appears twice in xs:all", t.Name, decl.Name)
 		}
-		t.allIndex[decl.Name] = len(t.allDecl)
-		t.allMin = append(t.allMin, item.min)
-		t.allDecl = append(t.allDecl, decl)
-		names = append(names, decl.Name)
+		all.Index[decl.Name] = len(all.Names)
+		all.Names = append(all.Names, decl.Name)
+		all.Required = append(all.Required, item.min > 0)
 	}
-	t.Model = "all(" + strings.Join(names, ", ") + ")"
+	t.Model = "all(" + strings.Join(all.Names, ", ") + ")"
 	return nil
 }
 
@@ -559,15 +613,6 @@ func (t *Type) Children() []string {
 }
 
 // Child returns the declaration of a child element name, or nil.
-// childBytes is Child for a name straight out of the tokenizer; the map
-// probe does not allocate.
-func (t *Type) childBytes(name []byte) *ElementDecl {
-	if t == nil || t.children == nil {
-		return nil
-	}
-	return t.children[string(name)]
-}
-
 func (t *Type) Child(name string) *ElementDecl {
 	if t == nil || t.children == nil {
 		return nil
@@ -618,19 +663,20 @@ func (t *Type) MatchChildren(names []string) bool {
 	case AnyContent:
 		return true
 	case AllGroup:
-		seen := make([]bool, len(t.allDecl))
+		all := t.content.All
+		seen := make([]bool, len(all.Names))
 		for _, n := range names {
-			i, ok := t.allIndex[n]
+			i, ok := all.Index[n]
 			if !ok || seen[i] {
 				return false
 			}
 			seen[i] = true
 		}
-		if t.allOptional && len(names) == 0 {
+		if all.Optional && len(names) == 0 {
 			return true
 		}
-		for i, min := range t.allMin {
-			if min > 0 && !seen[i] {
+		for i, req := range all.Required {
+			if req && !seen[i] {
 				return false
 			}
 		}

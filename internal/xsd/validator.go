@@ -1,458 +1,72 @@
-// Instance validation: corpus-scale, concurrent, zero-allocation in steady
-// state on the children-matching path. The architecture mirrors the PR 2
-// DTD validator: one schema's compiled models (and their lazily built
-// engines) are shared by every worker — engines are immutable after
-// construction — while all per-document state lives in a per-worker
-// docState whose frame stack is reused from document to document. Frames
-// hold their match.Stream / numeric stream state by value, and popped
-// frames keep their grown buffers for the next element at that depth, so
-// validating the next document costs XML decoding plus stream feeding:
-// O(1) state per open element for plain models, the live configuration
-// set (a singleton, for deterministic models) for counted ones.
+// Instance validation through the shared validation driver (package
+// validate): one schema's compiled models (and their lazily built engines)
+// are shared by every worker — engines are immutable after construction —
+// while all per-document state lives in a per-worker DocState whose frame
+// stack is reused from document to document. Frames hold their match.Stream
+// / numeric stream state by value, and popped frames keep their grown
+// buffers for the next element at that depth, so validating the next
+// document costs XML decoding plus stream feeding: O(1) state per open
+// element for plain models, the live configuration set (a singleton, for
+// deterministic models) for counted ones.
 package xsd
 
 import (
-	"bytes"
-	"errors"
-	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"strings"
-	"time"
 
-	"dregex/internal/dtd"
-	"dregex/internal/match"
-	"dregex/internal/numeric"
-	"dregex/internal/pool"
-	"dregex/internal/run"
-	"dregex/internal/xmltok"
+	"dregex/internal/validate"
 )
 
 // ValidationError describes one violation found while validating a
 // document.
-type ValidationError struct {
-	Path    string `json:"path"` // slash-separated element path
-	Element string `json:"element"`
-	Msg     string `json:"msg"`
-	// Line and Col locate the violation in the document (1-based; columns
-	// count runes). Zero when no position is available.
-	Line int `json:"line,omitempty"`
-	Col  int `json:"col,omitempty"`
-	// Expected lists the element names that would have been legal at the
-	// failure point (content-model violations only): the run.Runner
-	// ExpectedNext set of the type's streaming matcher.
-	Expected []string `json:"expected,omitempty"`
-}
-
-func (e ValidationError) Error() string {
-	msg := e.Msg
-	if len(e.Expected) > 0 {
-		msg = fmt.Sprintf("%s (expected one of: %s)", msg, strings.Join(e.Expected, ", "))
-	}
-	if e.Line > 0 {
-		return fmt.Sprintf("%d:%d: %s: <%s>: %s", e.Line, e.Col, e.Path, e.Element, msg)
-	}
-	return fmt.Sprintf("%s: <%s>: %s", e.Path, e.Element, msg)
-}
+type ValidationError = validate.ValidationError
 
 // Doc is one in-memory document to validate.
-type Doc struct {
-	Name string
-	Data []byte
-}
+type Doc = validate.Doc
 
 // Result is the validation outcome for one document.
-type Result struct {
-	Name string
-	// Errors are the schema violations found; empty for a valid document.
-	Errors []ValidationError
-	// Err is a document-level failure (unreadable file, malformed XML).
-	Err error
-}
-
-// Valid reports whether the document was read, parsed and validated with
-// no violations.
-func (r Result) Valid() bool { return r.Err == nil && len(r.Errors) == 0 }
+type Result = validate.Result
 
 // Validator validates many documents concurrently against one schema. A
 // Validator is safe for concurrent use and may be reused.
-type Validator struct {
-	s       *Schema
-	workers int
-}
+type Validator = validate.Validator
+
+// DocState is the reusable per-worker scratch of a validation pass, for
+// long-running callers (the dregexd server pools these per schema). A zero
+// value is ready. Popped frames keep pointers into the schema's counter
+// engines, so pool DocStates per schema — dropping the schema drops its
+// pool — rather than sharing one pool across hot-swapped schemas.
+type DocState = validate.DocState
 
 // NewValidator returns a pool validating against s with the given number
 // of workers (≤ 0 selects GOMAXPROCS).
 func NewValidator(s *Schema, workers int) *Validator {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Validator{s: s, workers: workers}
+	return validate.NewValidator(&s.schema, workers)
 }
 
-// ValidateDocs validates in-memory documents concurrently; results[i]
-// corresponds to docs[i].
-func (v *Validator) ValidateDocs(docs []Doc) []Result {
-	results := make([]Result, len(docs))
-	v.run(len(docs), func(i int, st *docState) {
-		errs, err := v.s.validateBytes(docs[i].Data, st)
-		results[i] = Result{Name: docs[i].Name, Errors: errs, Err: err}
-	})
-	return results
-}
-
-// ValidateFiles reads and validates the named files concurrently (file
-// I/O happens on the workers too); results[i] corresponds to paths[i].
-// Documents stream straight from their open files — O(decoder-buffer)
-// memory however large the file.
-func (v *Validator) ValidateFiles(paths []string) []Result {
-	results := make([]Result, len(paths))
-	v.run(len(paths), func(i int, st *docState) {
-		f, err := os.Open(paths[i])
-		if err != nil {
-			results[i] = Result{Name: paths[i], Err: err}
-			return
-		}
-		errs, err := v.s.validate(f, st)
-		f.Close()
-		results[i] = Result{Name: paths[i], Errors: errs, Err: err}
-	})
-	return results
-}
-
-// run distributes n jobs over the worker pool, handing each worker its own
-// reusable docState.
-func (v *Validator) run(n int, job func(i int, st *docState)) {
-	pool.RunWithStates(n, v.workers, func(st *docState, i int) {
-		job(i, st)
-	})
-}
-
-// frame is the per-open-element state of a validation pass. The name
-// aliases the document buffer — no per-element string is materialized.
-type frame struct {
-	decl   *ElementDecl
-	typ    *Type
-	name   []byte
-	stream match.Stream   // plain Children models (value: no allocation)
-	ctrs   numeric.Stream // numeric Children models (buffers reused per slot)
-	seen   []bool         // AllGroup member presence
-	any    bool           // AllGroup: some member seen
-	failed bool
-}
-
-// maxKeepBuf caps the document buffer a reused docState retains between
-// documents, so one huge outlier does not pin its memory forever.
-const maxKeepBuf = 1 << 20
-
-// docState is the reusable scratch of one validation pass. A zero value is
-// ready; reusing one across documents (one per Validator worker) keeps the
-// element stack's capacity, every frame's grown stream buffers and the
-// tokenizer's internal buffers, so steady-state validation performs no
-// per-document allocation. (Unlike the DTD validator's standalone mode,
-// frames reference only the shared schema, so retaining popped frames pins
-// no per-document data.)
-type docState struct {
-	stack []frame
-	tok   xmltok.Tokenizer
-	// buf holds the whole document when validating from an io.Reader.
-	buf []byte
-	// symbols and docBytes meter the last validation for observability:
-	// content-model symbols fed to streaming engines (plain or counter),
-	// and tokenized document bytes.
-	symbols  int
-	docBytes int
-	// cp is the cooperative cancellation point probed once per token; it
-	// stays disarmed (one branch per token) unless SetDeadline armed it.
-	cp run.Checkpoint
-}
-
-// push returns the next frame slot, reusing the slot's buffers when the
-// stack has been this deep before.
-func (st *docState) push() *frame {
-	if len(st.stack) < cap(st.stack) {
-		st.stack = st.stack[:len(st.stack)+1]
-	} else {
-		st.stack = append(st.stack, frame{})
-	}
-	f := &st.stack[len(st.stack)-1]
-	f.decl, f.typ, f.name = nil, nil, nil
-	f.any, f.failed = false, false
-	return f
-}
-
-// Validate checks one XML document against the schema: the root must be a
-// globally declared element, every element's children sequence must match
-// its type's content model (evaluated with a streaming simulator — one
-// pass, no buffering of child lists), xs:all members must each appear at
-// most once with required ones present, and text content must be allowed
-// (simple or mixed content). It returns all violations found, or nil.
+// Validate checks one XML document against the schema: there must be
+// exactly one root element and it must be globally declared, every
+// element's children sequence must match its type's content model
+// (evaluated with a streaming simulator — one pass, no buffering of child
+// lists), xs:all members must each appear at most once with required ones
+// present, and text content must be allowed (simple or mixed content). It
+// returns all violations found, or nil.
 func (s *Schema) Validate(r io.Reader) ([]ValidationError, error) {
-	var st docState
-	return s.validate(r, &st)
+	return s.schema.ValidateReusing(r, new(DocState))
 }
 
 // ValidateBytes is Validate on an in-memory document, skipping the read.
 func (s *Schema) ValidateBytes(doc []byte) ([]ValidationError, error) {
-	var st docState
-	return s.validateBytes(doc, &st)
+	return s.schema.ValidateBytesReusing(doc, new(DocState))
 }
-
-// DocState is the reusable per-worker scratch of a validation pass, for
-// long-running callers outside the package (the dregexd server pools these
-// per schema). A zero value is ready. Popped frames keep pointers into the
-// schema they validated, so pool DocStates per schema — dropping the schema
-// drops its pool — rather than sharing one pool across hot-swapped schemas.
-type DocState struct{ st docState }
 
 // ValidateReusing is Validate with caller-managed scratch: reusing one
 // DocState across documents keeps the element stack's capacity and every
 // frame's grown stream buffers. A DocState must not be used concurrently.
 func (s *Schema) ValidateReusing(r io.Reader, st *DocState) ([]ValidationError, error) {
-	return s.validate(r, &st.st)
+	return s.schema.ValidateReusing(r, st)
 }
 
 // ValidateBytesReusing is ValidateBytes with caller-managed scratch.
 func (s *Schema) ValidateBytesReusing(doc []byte, st *DocState) ([]ValidationError, error) {
-	return s.validateBytes(doc, &st.st)
-}
-
-// Symbols reports how many content-model symbols (child elements fed to
-// the streaming engines) the last validation through this DocState
-// consumed, for live ns-per-symbol estimates.
-func (st *DocState) Symbols() int { return st.st.symbols }
-
-// DocBytes reports the size of the last document validated through this
-// DocState (the bytes the tokenizer scanned).
-func (st *DocState) DocBytes() int { return st.st.docBytes }
-
-// SetDeadline arms cooperative cancellation for subsequent validations
-// through this DocState, with the same contract as the DTD validator's
-// DocState.SetDeadline: abort errors satisfy errors.Is against
-// run.ErrCanceled / run.ErrDeadlineExceeded, both zero arguments disarm,
-// and the arming persists until the next SetDeadline.
-func (st *DocState) SetDeadline(done <-chan struct{}, deadline time.Time) {
-	st.st.cp.Arm(done, deadline)
-}
-
-func (s *Schema) validate(r io.Reader, st *docState) ([]ValidationError, error) {
-	data, err := xmltok.ReadAll(r, st.buf)
-	st.buf = data
-	if err != nil {
-		return nil, fmt.Errorf("xsd: read: %w", err)
-	}
-	errs, verr := s.validateBytes(data, st)
-	if cap(st.buf) > maxKeepBuf {
-		st.buf = nil
-	}
-	return errs, verr
-}
-
-func (s *Schema) validateBytes(data []byte, st *docState) ([]ValidationError, error) {
-	tok := &st.tok
-	tok.Reset(data)
-	tok.SetEntities(nil)
-	var errs []ValidationError
-	st.stack = st.stack[:0]
-	st.symbols = 0
-	st.docBytes = len(data)
-	sawRoot := false
-	path := func() string {
-		parts := make([]string, 0, len(st.stack))
-		for i := range st.stack {
-			parts = append(parts, string(st.stack[i].name))
-		}
-		return "/" + strings.Join(parts, "/")
-	}
-	// verr stamps a violation with the document position of offset off.
-	verr := func(path string, elem []byte, off int, msg string) ValidationError {
-		line, col := tok.Position(off)
-		return ValidationError{Path: path, Element: string(elem), Msg: msg, Line: line, Col: col}
-	}
-	for {
-		if err := st.cp.Check(); err != nil {
-			return errs, fmt.Errorf("xsd: validation aborted: %w", err)
-		}
-		kind, err := tok.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return errs, fmt.Errorf("xsd: malformed XML: %w", err)
-		}
-		switch kind {
-		case xmltok.Directive:
-			// Instance documents may carry a DOCTYPE whose internal subset
-			// declares general entities (<!ENTITY foo "...">); wire those
-			// into the tokenizer so &foo; references are resolved rather
-			// than rejected as malformed XML. Predefined entities always
-			// work; parameter and external entities stay out of scope.
-			if !sawRoot {
-				if ents := dtd.EntitiesFromDoctype(string(tok.Text())); len(ents) > 0 {
-					tok.SetEntities(ents)
-				}
-			}
-		case xmltok.StartElement:
-			name := tok.Local()
-			off := tok.Offset()
-			var decl *ElementDecl
-			if len(st.stack) == 0 {
-				if sawRoot {
-					// A second top-level element is not well-formed XML;
-					// report it, then skip its subtree.
-					errs = append(errs, verr("/"+string(name), name, off,
-						"document has more than one root element"))
-					for tok.Depth() > 0 {
-						if _, err := tok.Next(); err != nil {
-							return errs, fmt.Errorf("xsd: malformed XML: %w", err)
-						}
-					}
-					continue
-				}
-				sawRoot = true
-				decl = s.Roots[string(name)]
-				if decl == nil {
-					errs = append(errs, verr("/"+string(name), name, off,
-						"root element is not declared in the schema"))
-				}
-			} else {
-				p := &st.stack[len(st.stack)-1]
-				decl = p.typ.childBytes(name)
-				errs = feedChild(errs, st, p, name, off, path, verr)
-			}
-			f := st.push()
-			//dregex:ok spanretain name is a Name() span into the stable document buffer (never scratch); the frame dies with this parse
-			f.decl, f.name = decl, name
-			if decl == nil {
-				f.failed = true
-				break
-			}
-			f.typ = decl.Type
-			switch f.typ.Kind {
-			case Children:
-				if !f.typ.Deterministic {
-					errs = append(errs, verr(path(), name, off,
-						"content model violates Unique Particle Attribution; cannot validate"))
-					f.failed = true
-				} else if f.typ.Numeric {
-					f.typ.nmatcher.InitStream(&f.ctrs)
-				} else {
-					f.typ.matcher.InitStream(&f.stream)
-				}
-			case AllGroup:
-				n := len(f.typ.allDecl)
-				if cap(f.seen) < n {
-					f.seen = make([]bool, n)
-				} else {
-					f.seen = f.seen[:n]
-					for i := range f.seen {
-						f.seen[i] = false
-					}
-				}
-			}
-		case xmltok.EndElement:
-			if len(st.stack) == 0 {
-				continue // stray end tag past a skipped extra root
-			}
-			f := &st.stack[len(st.stack)-1]
-			if f.typ != nil && !f.failed {
-				switch f.typ.Kind {
-				case Children:
-					ok := false
-					if f.typ.Numeric {
-						ok = f.ctrs.Accepts()
-					} else {
-						ok = f.stream.Accepts()
-					}
-					if !ok {
-						errs = append(errs, verr(path(), f.name, tok.Offset(),
-							fmt.Sprintf("children end prematurely for content model %s", f.typ.Model)))
-					}
-				case AllGroup:
-					if !(f.typ.allOptional && !f.any) {
-						for i, min := range f.typ.allMin {
-							if min > 0 && !f.seen[i] {
-								errs = append(errs, verr(path(), f.name, tok.Offset(),
-									fmt.Sprintf("missing required child <%s> of %s", f.typ.allDecl[i].Name, f.typ.Model)))
-							}
-						}
-					}
-				}
-			}
-			st.stack = st.stack[:len(st.stack)-1]
-		case xmltok.Text:
-			if len(st.stack) == 0 {
-				continue
-			}
-			f := &st.stack[len(st.stack)-1]
-			if f.typ == nil || f.failed || f.typ.Mixed ||
-				f.typ.Kind == TextContent || f.typ.Kind == AnyContent {
-				continue
-			}
-			if len(bytes.TrimSpace(tok.Text())) == 0 {
-				continue
-			}
-			errs = append(errs, verr(path(), f.name, tok.Offset(),
-				"text content not allowed by element-only content"))
-			f.failed = true
-		}
-	}
-	if !sawRoot {
-		return errs, errors.New("xsd: document has no root element")
-	}
-	return errs, nil
-}
-
-// feedChild records child name in the parent frame's content model.
-func feedChild(errs []ValidationError, st *docState, p *frame, name []byte, off int,
-	path func() string, verr func(string, []byte, int, string) ValidationError) []ValidationError {
-	if p.typ == nil || p.failed {
-		return errs // parent already failed; keep descending silently
-	}
-	switch p.typ.Kind {
-	case EmptyContent:
-		errs = append(errs, verr(path(), p.name, off,
-			fmt.Sprintf("child <%s> not allowed: empty content", name)))
-		p.failed = true
-	case TextContent:
-		errs = append(errs, verr(path(), p.name, off,
-			fmt.Sprintf("child <%s> not allowed: simple content", name)))
-		p.failed = true
-	case AllGroup:
-		i, ok := p.typ.allIndex[string(name)]
-		switch {
-		case !ok:
-			errs = append(errs, verr(path(), p.name, off,
-				fmt.Sprintf("child <%s> not allowed in %s", name, p.typ.Model)))
-			p.failed = true
-		case p.seen[i]:
-			errs = append(errs, verr(path(), p.name, off,
-				fmt.Sprintf("child <%s> repeated in %s", name, p.typ.Model)))
-			p.failed = true
-		default:
-			p.seen[i] = true
-			p.any = true
-		}
-	case Children:
-		st.symbols++
-		ok := false
-		if p.typ.Numeric {
-			ok = p.ctrs.FeedBytes(name)
-		} else {
-			ok = p.stream.FeedBytes(name)
-		}
-		if !ok {
-			ve := verr(path(), p.name, off,
-				fmt.Sprintf("child <%s> violates content model %s", name, p.typ.Model))
-			if p.typ.Numeric {
-				ve.Expected = run.ExpectedNames(&p.ctrs, nil)
-			} else {
-				ve.Expected = run.ExpectedNames(&p.stream, nil)
-			}
-			errs = append(errs, ve)
-			p.failed = true
-		}
-	}
-	return errs
+	return s.schema.ValidateBytesReusing(doc, st)
 }

@@ -161,6 +161,55 @@ func TestValidateAnyType(t *testing.T) {
 	}
 }
 
+// TestValidateXMLWhitespaceOnly: only XML white space (#x20, #x9, #xD,
+// #xA) is ignorable between the children of element-only content; other
+// Unicode spaces such as U+00A0 and U+0085 are character data.
+func TestValidateXMLWhitespaceOnly(t *testing.T) {
+	s, err := Parse([]byte(`<schema xmlns="x"><element name="a"><complexType><sequence>
+  <element name="b" type="string"/><element name="c" type="string"/>
+</sequence></complexType></element></schema>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs, err := s.ValidateBytes([]byte("<a> \t\r\n<b/>\n<c/> </a>")); err != nil || len(errs) != 0 {
+		t.Errorf("XML white space rejected: errs=%v err=%v", errs, err)
+	}
+	for _, space := range []string{"&#xA0;", "\u00a0", "&#x85;"} {
+		doc := "<a>" + space + "<b/><c/></a>"
+		errs, err := s.ValidateBytes([]byte(doc))
+		if err != nil || len(errs) != 1 || !strings.Contains(errs[0].Msg, "text content not allowed") {
+			t.Errorf("%q: errs=%v err=%v, want text content not allowed", doc, errs, err)
+		}
+	}
+}
+
+// TestValidatePrematureEndExpected: children that end before the content
+// model is satisfied report the names that could have come next, for plain
+// and counter models alike.
+func TestValidatePrematureEndExpected(t *testing.T) {
+	s, err := Parse([]byte(`<schema xmlns="x">
+  <element name="a"><complexType><sequence>
+    <element name="b" type="string"/><element name="c" type="string"/>
+  </sequence></complexType></element>
+  <element name="list"><complexType><sequence>
+    <element name="item" type="string" minOccurs="2" maxOccurs="5"/>
+  </sequence></complexType></element>
+</schema>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ doc, want string }{
+		{"<a><b/></a>", "c"},
+		{"<list><item/></list>", "item"},
+	} {
+		errs, err := s.ValidateBytes([]byte(c.doc))
+		if err != nil || len(errs) != 1 || !strings.Contains(errs[0].Msg, "end prematurely") ||
+			strings.Join(errs[0].Expected, ",") != c.want {
+			t.Errorf("%s: errs=%v err=%v, want premature end expecting %s", c.doc, errs, err, c.want)
+		}
+	}
+}
+
 // TestValidatorConcurrent runs the worker pool over a mixed corpus (run
 // with -race in CI: engines and compiled models are shared across
 // workers).
@@ -233,14 +282,14 @@ func TestChildrenPathZeroAlloc(t *testing.T) {
 	// point is that allocations do not scale with the schema or grow run
 	// over run.
 	doc := "<catalog>" + product(3, "") + product(2, "") + "</catalog>"
-	var ds docState
-	if errs, err := s.validate(strings.NewReader(doc), &ds); err != nil || len(errs) != 0 {
+	var ds DocState
+	if errs, err := s.ValidateReusing(strings.NewReader(doc), &ds); err != nil || len(errs) != 0 {
 		t.Fatalf("warm-up: errs=%v err=%v", errs, err)
 	}
 	r := strings.NewReader("")
 	perDoc := testing.AllocsPerRun(200, func() {
 		r.Reset(doc)
-		if errs, err := s.validate(r, &ds); err != nil || len(errs) != 0 {
+		if errs, err := s.ValidateReusing(r, &ds); err != nil || len(errs) != 0 {
 			t.Fatal("document became invalid")
 		}
 	})
