@@ -70,14 +70,17 @@ const (
 // Expr is a compiled expression. It is immutable and safe for concurrent
 // use once compiled; the per-algorithm engine cache is filled lazily under
 // sync.Once, so sharing one Expr across goroutines shares its engines.
+//
+// It keeps only what matching, Stats and Explain read: the parse tree, its
+// follow index (the tree plus an LCA index), the alphabet and the verdict.
+// The normalized AST and the §3.1 skeleta serve only the determinism test
+// and are dropped when Compile returns.
 type Expr struct {
 	source string
 	syntax Syntax
 	alpha  *ast.Alphabet
-	root   *ast.Node // normalized, plus-desugared user expression
 	tree   *parsetree.Tree
 	fol    *follow.Index
-	sks    *skeleton.Skeletons
 	det    *determinism.Result
 	stats  Stats     // memoized at compile time
 	auto   Algorithm // Auto resolved against stats, once, at compile time
@@ -149,7 +152,7 @@ func parseSource(source string, syntax Syntax) (*ast.Node, *ast.Alphabet, error)
 }
 
 func compileAST(source string, syntax Syntax, root *ast.Node, alpha *ast.Alphabet) (*Expr, error) {
-	root = ast.Normalize(ast.DesugarPlus(ast.Normalize(root)))
+	root = normalize(root)
 	if err := ast.ValidatePlain(root); err != nil {
 		return nil, ErrNumericIndicator
 	}
@@ -158,19 +161,16 @@ func compileAST(source string, syntax Syntax, root *ast.Node, alpha *ast.Alphabe
 		return nil, err
 	}
 	fol := follow.New(tree)
-	sks := skeleton.Build(tree, fol, skeleton.Options{})
-	det := determinism.CheckSkeletons(tree, sks, false)
+	det := determinism.CheckSkeletons(tree, skeleton.Build(tree, fol, skeleton.Options{}), false)
 	e := &Expr{
 		source: source,
 		syntax: syntax,
 		alpha:  alpha,
-		root:   root,
 		tree:   tree,
 		fol:    fol,
-		sks:    sks,
 		det:    det,
 	}
-	e.stats = computeStats(e)
+	e.stats = computeStats(e, root)
 	e.auto = autoSelect(e.stats)
 	recordAutoSelection(e.auto, e.stats)
 	return e, nil
@@ -188,12 +188,23 @@ func MustCompile(source string, syntax Syntax) *Expr {
 // Source returns the original expression text.
 func (e *Expr) Source() string { return e.source }
 
-// String renders the normalized expression in its own syntax.
+// normalize applies rules (R2)/(R3) and desugars e+ to e·e*, as Compile
+// does before building the parse tree.
+func normalize(root *ast.Node) *ast.Node {
+	return ast.Normalize(ast.DesugarPlus(ast.Normalize(root)))
+}
+
+// String renders the normalized expression in its own syntax. The
+// normalized AST is not retained, so String re-derives it from the source.
 func (e *Expr) String() string {
-	if e.syntax == DTD || e.syntax == XSD {
-		return ast.StringDTD(e.root, e.alpha)
+	root, alpha, err := parseSource(e.source, e.syntax)
+	if err != nil {
+		return e.source // unreachable: the source compiled
 	}
-	return ast.StringMath(e.root, e.alpha)
+	if e.syntax == DTD || e.syntax == XSD {
+		return ast.StringDTD(normalize(root), alpha)
+	}
+	return ast.StringMath(normalize(root), alpha)
 }
 
 // IsDeterministic reports whether the expression is deterministic
@@ -280,14 +291,15 @@ type Stats struct {
 // Stats returns the structural summary, computed once at compile time.
 func (e *Expr) Stats() Stats { return e.stats }
 
-func computeStats(e *Expr) Stats {
+// computeStats summarizes e; root is its normalized AST.
+func computeStats(e *Expr, root *ast.Node) Stats {
 	s := Stats{
 		Size:             e.tree.N(),
 		Positions:        e.tree.NumPositions() - 2,
 		Sigma:            e.alpha.UserSize(),
-		K:                ast.MaxOccurrence(e.root),
-		AlternationDepth: ast.AlternationDepth(e.root),
-		StarFree:         !ast.HasStar(e.root),
+		K:                ast.MaxOccurrence(root),
+		AlternationDepth: ast.AlternationDepth(root),
+		StarFree:         !ast.HasStar(root),
 		Deterministic:    e.det.Deterministic,
 	}
 	for n := int32(0); n < int32(e.tree.N()); n++ {

@@ -41,7 +41,6 @@ import (
 // Counted is a compiled expression with numeric occurrence indicators.
 type Counted struct {
 	Alpha *ast.Alphabet
-	Root  *ast.Node
 	Tree  *parsetree.Tree
 	Fol   *follow.Index
 
@@ -77,7 +76,6 @@ func Compile(e *ast.Node, alpha *ast.Alphabet) (*Counted, error) {
 	fol := follow.New(tree)
 	c := &Counted{
 		Alpha:   alpha,
-		Root:    root,
 		Tree:    tree,
 		Fol:     fol,
 		chainOf: make([][]parsetree.NodeID, tree.N()),

@@ -92,7 +92,7 @@ func TestAgainstUnrollingSpec(t *testing.T) {
 		}
 		if got := ct.IsDeterministic(); got != want {
 			t.Fatalf("disagreement on %s (normalized %s): linear=%v (%s), unroll-spec=%v",
-				ast.StringMath(e, alpha), ast.StringMath(ct.Root, alpha),
+				ast.StringMath(e, alpha), ast.StringMath(ast.Normalize(ast.DesugarPlus(ast.Normalize(e))), alpha),
 				got, ct.Result().Rule, want)
 		}
 		agree++

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dregex"
 	"dregex/client"
 )
 
@@ -297,28 +298,26 @@ func TestCompileTimeoutShed(t *testing.T) {
 	// A large expression so the background compile cannot win the race
 	// against the already-expired context.
 	var b strings.Builder
-	b.WriteString(`{"expr": "(a0`)
+	b.WriteString("(a0")
 	for i := 1; i < 3000; i++ {
 		fmt.Fprintf(&b, ", a%d", i)
 	}
-	b.WriteString(`)"}`)
+	b.WriteString(")")
+	src := b.String()
 
-	code, body := doRaw(t, hs, "POST", "/v1/compile", "application/json", b.String())
+	code, body := doRaw(t, hs, "POST", "/v1/compile", "application/json", `{"expr": "`+src+`"}`)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("expired compile budget: %d %s, want 503", code, body)
 	}
 	if v := s.endpoints["compile"].shedTimeout.Value(); v != 1 {
 		t.Errorf("shedTimeout = %d, want 1", v)
 	}
-	// The compile finished in the background and cached its result, so an
-	// unlimited retry path would hit. (Poll: the background goroutine races
-	// this assertion.)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.cache.Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned compile never cached")
-		}
-		time.Sleep(time.Millisecond)
+	// The compile finishes in the background and caches its result, so an
+	// unlimited retry path hits. GetInfo waits for that compile rather than
+	// starting its own, so once it returns nothing of this test is still
+	// allocating behind the tests that follow.
+	if _, hit, err := s.cache.GetInfo(src, dregex.DTD); !hit || err != nil {
+		t.Fatalf("abandoned compile never cached: hit=%v err=%v", hit, err)
 	}
 }
 
