@@ -35,7 +35,7 @@ smoke-server:
 chaos-smoke:
 	$(GO) test -race -tags faultinject -run TestDregexdChaos -v ./cmd/dregexd
 
-# fuzz-smoke runs the schema front-end fuzz targets briefly (seed corpus
+# fuzz-smoke runs the front-end fuzz targets briefly (seed corpus
 # plus a short random exploration); CI invokes this on every push.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzXSDContentModel -fuzztime $(FUZZTIME) ./internal/xsd
 	$(GO) test -run xxx -fuzz FuzzXMLTok -fuzztime $(FUZZTIME) ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzLexer -fuzztime $(FUZZTIME) .
+	$(GO) test -run xxx -fuzz FuzzCompile -fuzztime $(FUZZTIME) .
 
 # bench runs the Go benchmark sweep and the benchtab experiment tables,
 # snapshotting both into BENCH_<date>.json for cross-PR comparison. The
@@ -65,15 +66,16 @@ bench:
 # name PRs are expected to use before committing fresh numbers).
 bench-snapshot: bench
 
-# Pinned hot-path benchmarks: the 0/1-alloc steady-state paths plus the
-# dense-table tier. bench-check runs just these, wraps the output in a
+# Pinned hot-path benchmarks: the 0/1-alloc steady-state paths, the
+# dense-table tier, and the compile path (CompileSource, MatcherFresh),
+# whose allocations must not grow with the expression again. bench-check runs just these, wraps the output in a
 # snapshot, and diffs it against the newest committed BENCH_*.json with the
 # regression gate: >25% worse on a gated metric (or any movement off a
 # pinned zero) fails. CI gates the allocation metrics only — B/op and
 # allocs/op are machine-independent, while ns/op across runner generations
 # is not; run `make bench-check GATE_UNITS=` locally on the machine that
 # wrote the baseline to gate time too.
-BENCH_PINNED := MatcherCached|MatchWordInterned|MatchAllCached|CacheGet|NumericStreamInterned|TableVsKore|ServerValidateE2E|ServerValidateMetrics|ServerValidateLimited|XMLTok|ParseWord|LexerStream
+BENCH_PINNED := MatcherFresh|CompileSource|MatcherCached|MatchWordInterned|MatchAllCached|CacheGet|NumericStreamInterned|TableVsKore|ServerValidateE2E|ServerValidateMetrics|ServerValidateLimited|XMLTok|ParseWord|LexerStream
 BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
 GATE_UNITS ?= B/op,allocs/op
 bench-check:

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dregex"
 	"dregex/internal/ast"
 	"dregex/internal/determinism"
 	"dregex/internal/follow"
@@ -380,4 +381,43 @@ func BenchmarkE9DTDCorpus(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(corpus)), "ns/model")
+}
+
+// --- Compile from source: the write path -----------------------------------
+// dregex.Compile on DTD source text — grammar, normal form, parse tree,
+// follow index, skeleta, determinism test and Stats — for seeded random
+// 1-OREs of about 64, 1k and 10k nodes, plus one counted model through
+// CompileNumeric. ns/node divides by the parse-tree size, (R1) wrapper
+// included. Every scratch buffer of the pipeline is pooled, so allocs/op
+// grows only with the alphabet's name map, not per node.
+
+func BenchmarkCompileSource(b *testing.B) {
+	r := rand.New(rand.NewSource(16))
+	for _, nodes := range []int{64, 1024, 10240} {
+		alpha := ast.NewAlphabet()
+		src := ast.StringDTD(wordgen.RandomDeterministicExpr(r, alpha, nodes, nodes, false), alpha)
+		size := dregex.MustCompile(src, dregex.DTD).Stats().Size
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := dregex.Compile(src, dregex.DTD); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size), "ns/node")
+		})
+	}
+	b.Run("numeric", func(b *testing.B) {
+		alpha := ast.NewAlphabet()
+		src := ast.StringDTD(countedMixed(alpha, 200, 1024), alpha)
+		size := ast.Size(ast.MustParseDTD(src, ast.NewAlphabet()))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := dregex.CompileNumeric(src, dregex.DTD); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size), "ns/node")
+	})
 }

@@ -73,8 +73,8 @@ const (
 //
 // It keeps only what matching, Stats and Explain read: the parse tree, its
 // follow index (the tree plus an LCA index), the alphabet and the verdict.
-// The normalized AST and the §3.1 skeleta serve only the determinism test
-// and are dropped when Compile returns.
+// The §3.1 skeleta serve only the determinism test and are dropped when
+// Compile returns.
 type Expr struct {
 	source string
 	syntax Syntax
@@ -118,46 +118,32 @@ type batchSlot struct {
 // pipeline) for those.
 var ErrNumericIndicator = errors.New("dregex: numeric occurrence indicators require CompileNumeric")
 
+// ExpansionBudget caps the e+ → e·e* desugaring: Compile and
+// CompileNumeric fail with ErrExpansionBudget once the copies it makes pass
+// this many parse-tree nodes. Each nested + doubles its body, so only
+// expressions of more than ExpansionBudget nodes, or with nested +, can
+// reach it.
+const ExpansionBudget = ast.ExpansionBudget
+
+// ErrExpansionBudget is the error Compile and CompileNumeric return for
+// expressions whose e+ desugaring passes ExpansionBudget. Schema compilers
+// wrap it, so match it with errors.Is.
+var ErrExpansionBudget = ast.ErrExpansionBudget
+
 // Compile parses, normalizes (rules R1–R3 of the paper) and preprocesses an
 // expression: LCA structures, the Lemma 2.3 pointers, the §3.1 skeleta and
 // the linear determinism test all run here, in O(|e|) total. The e+
 // postfix of DTD syntax is desugared to e·e* (determinism-preserving);
 // other numeric bounds are rejected — see CompileNumeric.
+//
+// The source is parsed straight into the parse tree's arrays
+// (parsetree.Parse); no pointer AST is built.
 func Compile(source string, syntax Syntax) (*Expr, error) {
-	root, alpha, err := parseSource(source, syntax)
+	tree, err := parseTree(source, syntax, false)
 	if err != nil {
-		return nil, err
-	}
-	return compileAST(source, syntax, root, alpha)
-}
-
-// parseSource is the single parse front end shared by Compile and
-// CompileNumeric (and, through them, by Cache).
-func parseSource(source string, syntax Syntax) (*ast.Node, *ast.Alphabet, error) {
-	alpha := ast.NewAlphabet()
-	var root *ast.Node
-	var err error
-	switch syntax {
-	case Math:
-		root, err = ast.ParseMath(source, alpha)
-	case DTD, XSD:
-		root, err = ast.ParseDTD(source, alpha)
-	default:
-		return nil, nil, fmt.Errorf("dregex: unknown syntax %d", syntax)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return root, alpha, nil
-}
-
-func compileAST(source string, syntax Syntax, root *ast.Node, alpha *ast.Alphabet) (*Expr, error) {
-	root = normalize(root)
-	if err := ast.ValidatePlain(root); err != nil {
-		return nil, ErrNumericIndicator
-	}
-	tree, err := parsetree.Build(root, alpha)
-	if err != nil {
+		if errors.Is(err, parsetree.ErrIterUnsupported) {
+			return nil, ErrNumericIndicator
+		}
 		return nil, err
 	}
 	fol := follow.New(tree)
@@ -165,15 +151,36 @@ func compileAST(source string, syntax Syntax, root *ast.Node, alpha *ast.Alphabe
 	e := &Expr{
 		source: source,
 		syntax: syntax,
-		alpha:  alpha,
+		alpha:  tree.Alpha,
 		tree:   tree,
 		fol:    fol,
 		det:    det,
 	}
-	e.stats = computeStats(e, root)
+	e.stats = computeStats(e)
 	e.auto = autoSelect(e.stats)
 	recordAutoSelection(e.auto, e.stats)
 	return e, nil
+}
+
+// notation maps a Syntax to the grammar's notation.
+func notation(syntax Syntax) (ast.Notation, error) {
+	switch syntax {
+	case Math:
+		return ast.MathNotation, nil
+	case DTD, XSD:
+		return ast.DTDNotation, nil
+	}
+	return 0, fmt.Errorf("dregex: unknown syntax %d", syntax)
+}
+
+// parseTree is the front end shared by Compile and CompileNumeric (and,
+// through them, by Cache).
+func parseTree(source string, syntax Syntax, numeric bool) (*parsetree.Tree, error) {
+	nt, err := notation(syntax)
+	if err != nil {
+		return nil, err
+	}
+	return parsetree.Parse(source, nt, numeric)
 }
 
 // MustCompile is Compile that panics on error, for tests and constants.
@@ -188,23 +195,24 @@ func MustCompile(source string, syntax Syntax) *Expr {
 // Source returns the original expression text.
 func (e *Expr) Source() string { return e.source }
 
-// normalize applies rules (R2)/(R3) and desugars e+ to e·e*, as Compile
-// does before building the parse tree.
-func normalize(root *ast.Node) *ast.Node {
-	return ast.Normalize(ast.DesugarPlus(ast.Normalize(root)))
-}
-
 // String renders the normalized expression in its own syntax. The
-// normalized AST is not retained, so String re-derives it from the source.
+// normalized expression is not retained, so String re-derives it from the
+// source.
 func (e *Expr) String() string {
-	root, alpha, err := parseSource(e.source, e.syntax)
+	nt, _ := notation(e.syntax)
+	alpha := ast.NewAlphabet()
+	raw, err := ast.AppendParse(nil, e.source, alpha, nt)
+	var recs []ast.Rec
+	if err == nil {
+		recs, err = ast.AppendNormal(nil, raw)
+	}
 	if err != nil {
 		return e.source // unreachable: the source compiled
 	}
-	if e.syntax == DTD || e.syntax == XSD {
-		return ast.StringDTD(normalize(root), alpha)
+	if nt == ast.DTDNotation {
+		return ast.StringDTD(ast.FromRecs(recs), alpha)
 	}
-	return ast.StringMath(normalize(root), alpha)
+	return ast.StringMath(ast.FromRecs(recs), alpha)
 }
 
 // IsDeterministic reports whether the expression is deterministic
@@ -291,24 +299,64 @@ type Stats struct {
 // Stats returns the structural summary, computed once at compile time.
 func (e *Expr) Stats() Stats { return e.stats }
 
-// computeStats summarizes e; root is its normalized AST.
-func computeStats(e *Expr, root *ast.Node) Stats {
+// computeStats summarizes e, reading the parse tree's arrays in one
+// bottom-up pass. K counts the user positions per symbol. The alternation
+// depth c_e is taken over e′ (ids 3…n−2, the user subtree): for each node,
+// cat[n] and union[n] hold the depth of its subtree when the nearest ⊙/+
+// above it is a ⊙ (resp. a +), since a ⊙ directly below a ⊙ (or a + below
+// a +) does not deepen it.
+func computeStats(e *Expr) Stats {
+	t := e.tree
+	n := t.N()
 	s := Stats{
-		Size:             e.tree.N(),
-		Positions:        e.tree.NumPositions() - 2,
-		Sigma:            e.alpha.UserSize(),
-		K:                ast.MaxOccurrence(root),
-		AlternationDepth: ast.AlternationDepth(root),
-		StarFree:         !ast.HasStar(root),
-		Deterministic:    e.det.Deterministic,
+		Size:          n,
+		Positions:     t.NumPositions() - 2,
+		Sigma:         e.alpha.UserSize(),
+		StarFree:      true,
+		Deterministic: e.det.Deterministic,
 	}
-	for n := int32(0); n < int32(e.tree.N()); n++ {
-		if d := int(e.tree.Depth[n]); d > s.Depth {
-			s.Depth = d
+	buf := statsPool.Get().(*[]int32)
+	defer statsPool.Put(buf)
+	if cap(*buf) < 2*n+e.alpha.Size() {
+		*buf = make([]int32, 2*n+e.alpha.Size())
+	}
+	scratch := (*buf)[:2*n+e.alpha.Size()]
+	clear(scratch)
+	cat, union, counts := scratch[:n], scratch[n:2*n], scratch[2*n:]
+	for _, p := range t.PosNode[1 : len(t.PosNode)-1] {
+		counts[t.Sym[p]]++
+		s.K = max(s.K, int(counts[t.Sym[p]]))
+	}
+	for id := parsetree.NodeID(n - 1); id >= 0; id-- {
+		s.Depth = max(s.Depth, int(t.Depth[id]))
+		switch op := t.Op[id]; op {
+		case parsetree.OpStar:
+			s.StarFree = false
+		case parsetree.OpIter:
+			if t.Max[id] > 1 {
+				s.StarFree = false
+			}
+		case parsetree.OpCat, parsetree.OpUnion:
+			l, r := t.LChild[id], t.RChild[id]
+			if op == parsetree.OpCat {
+				cat[id] = max(cat[l], cat[r])
+				union[id] = cat[id] + 1
+			} else {
+				union[id] = max(union[l], union[r])
+				cat[id] = union[id] + 1
+			}
+			continue
+		}
+		if c := t.LChild[id]; c != parsetree.Null {
+			cat[id], union[id] = cat[c], union[c]
 		}
 	}
+	s.AlternationDepth = int(max(cat[t.UserRoot], union[t.UserRoot]))
 	return s
 }
+
+// statsPool recycles computeStats's scratch.
+var statsPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // Symbols returns the distinct symbol names of the expression.
 func (e *Expr) Symbols() []string { return e.alpha.Names() }

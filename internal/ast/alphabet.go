@@ -1,6 +1,9 @@
 package ast
 
-import "fmt"
+import (
+	"fmt"
+	"unicode/utf8"
+)
 
 // Symbol is a dense interned identifier for an alphabet symbol. The two
 // phantom markers required by rule (R1) of the paper — # at the beginning
@@ -65,6 +68,21 @@ func (a *Alphabet) Intern(name string) Symbol {
 		a.ascii[name[0]] = id
 	}
 	return id
+}
+
+// InternRune is Intern for a single-rune name. A name seen before costs
+// no allocation: ASCII names come from the cache, others are probed with
+// a stack buffer.
+func (a *Alphabet) InternRune(r rune) Symbol {
+	if r >= 0 && r < 128 && a.ascii[r] != None {
+		return a.ascii[r]
+	}
+	var buf [utf8.UTFMax]byte
+	b := buf[:utf8.EncodeRune(buf[:], r)]
+	if id, ok := a.ids[string(b)]; ok {
+		return id
+	}
+	return a.Intern(string(b))
 }
 
 // InternWord interns every name of a word, in order. It is the setup-time

@@ -1,9 +1,18 @@
 // Package ast defines the abstract syntax of regular expressions as used in
 // "Deterministic Regular Expressions in Linear Time" (Groz, Maneth, Staworko;
-// PODS 2012), together with parsers for two concrete syntaxes (the paper's
-// mathematical notation and XML-DTD content-model notation), the normalizer
-// that enforces the paper's structural requirements (R1)–(R3), and basic
-// structural metrics (size, star-freeness, plus-alternation depth).
+// PODS 2012), together with the grammar of two concrete syntaxes (the
+// paper's mathematical notation and XML-DTD content-model notation), the
+// normalizer that enforces the paper's structural requirements (R1)–(R3),
+// and basic structural metrics (size, star-freeness, plus-alternation
+// depth).
+//
+// Expressions come in two shapes. The grammar (AppendParse) emits flat
+// postfix records (Rec), which AppendNormal brings into normal form in one
+// linear pass and the compile pipeline (parsetree.Parse) turns into parse
+// trees without building a node. ParseMath and ParseDTD build pointer
+// trees (Node) from the same records; Normalize, DesugarPlus, Unroll and
+// the metrics work on those, for generators, tests and the reference path
+// that checks the flat one.
 //
 // The grammar (paper §2) is
 //

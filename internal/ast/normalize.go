@@ -73,6 +73,131 @@ func Normalize(e *Node) *Node {
 	panic("ast.Normalize: bad kind")
 }
 
+// ExpansionBudget caps the records AppendNormal may copy while desugaring
+// e+ to e·e*. Each copy doubles the body, so nested + doubles the tree per
+// level: 22 nested levels already make a 67-byte expression compile to
+// 12.6 million nodes. An expression without nested + copies at most its
+// own size, so only expressions of more than ExpansionBudget records, or
+// with nested +, can reach the budget.
+const ExpansionBudget = 1 << 20
+
+// ErrExpansionBudget is returned by AppendNormal once the e+ desugaring
+// has copied more than ExpansionBudget records.
+var ErrExpansionBudget = errors.New("ast: e+ desugaring exceeds the expansion budget")
+
+// AppendNormal appends to dst the normal form of the postfix records src
+// (as AppendParse emits them), filling Nullable and Size: the tree of
+// Normalize(DesugarPlus(Normalize(e))), in one pass. Every record is
+// rewritten from the already-normal records of its operands, which sit at
+// the end of dst — the right operand last, the left one just before it —
+// so no stack is needed; nullability is a stored bit, and the copy that
+// e+ → e·e* makes is one contiguous run of records. The copies are counted
+// against ExpansionBudget.
+func AppendNormal(dst, src []Rec) ([]Rec, error) {
+	copied := 0
+	for _, r := range src {
+		top := len(dst) - 1
+		switch r.Kind {
+		case KSym:
+			dst = append(dst, Rec{Kind: KSym, Sym: r.Sym, Size: 1})
+			continue
+		case KCat, KUnion:
+			rt := dst[top]
+			lt := dst[top-int(rt.Size)]
+			null := lt.Nullable && rt.Nullable
+			if r.Kind == KUnion {
+				null = lt.Nullable || rt.Nullable
+			}
+			dst = append(dst, Rec{Kind: r.Kind, Nullable: null, Size: lt.Size + rt.Size + 1})
+			continue
+		}
+		x := dst[top]
+		min, max := int32(1), int32(1) // KOpt is x{0,1}, KStar is x{0,∞}
+		switch r.Kind {
+		case KOpt:
+			min = 0
+		case KStar:
+			min, max = 0, Unbounded
+		default:
+			min, max = r.Min, r.Max
+		}
+		if x.Nullable && min > 0 {
+			min = 0 // empty iterations pad any lower bound
+		}
+		switch {
+		case min == 1 && max == 1:
+		case min == 0 && max == Unbounded:
+			if x.Kind != KStar { // (R2)
+				dst = append(dst, Rec{Kind: KStar, Nullable: true, Size: x.Size + 1})
+			}
+		case min == 0 && max == 1:
+			if !x.Nullable { // (R3)
+				dst = append(dst, Rec{Kind: KOpt, Nullable: true, Size: x.Size + 1})
+			}
+		case min == 0:
+			dst = append(dst, Rec{Kind: KIter, Nullable: x.Nullable, Min: 1, Max: max, Size: x.Size + 1})
+			if !x.Nullable {
+				dst = append(dst, Rec{Kind: KOpt, Nullable: true, Size: x.Size + 2})
+			}
+		case min == 1 && max == Unbounded:
+			// e+ → e·e*; x is not nullable here, so e* needs no (R2) check.
+			if copied += int(x.Size); copied > ExpansionBudget {
+				return dst, ErrExpansionBudget
+			}
+			dst = append(dst, dst[len(dst)-int(x.Size):]...)
+			dst = append(dst,
+				Rec{Kind: KStar, Nullable: true, Size: x.Size + 1},
+				Rec{Kind: KCat, Size: 2*x.Size + 2})
+		default:
+			dst = append(dst, Rec{Kind: KIter, Nullable: x.Nullable, Min: min, Max: max, Size: x.Size + 1})
+		}
+	}
+	return dst, nil
+}
+
+// AppendNodes appends the postfix records of e to dst, filling Nullable
+// and Size, without rewriting anything. Bounds outside [0, MaxBound] other
+// than Unbounded are an error: they do not fit a record.
+func AppendNodes(dst []Rec, e *Node) ([]Rec, error) {
+	var err error
+	var rec func(n *Node)
+	rec = func(n *Node) {
+		r := Rec{Kind: n.Kind, Size: 1}
+		switch n.Kind {
+		case KSym:
+			r.Sym = n.Sym
+			dst = append(dst, r)
+			return
+		case KIter:
+			if n.Min < 0 || n.Min > MaxBound || (n.Max != Unbounded && (n.Max < 0 || n.Max > MaxBound)) {
+				err = fmt.Errorf("ast: iteration bounds {%d,%s} exceed %d", n.Min, boundString(n.Max), MaxBound)
+			}
+			r.Min, r.Max = int32(n.Min), int32(n.Max)
+		}
+		rec(n.L)
+		l := dst[len(dst)-1]
+		r.Size += l.Size
+		switch n.Kind {
+		case KCat, KUnion:
+			rec(n.R)
+			rt := dst[len(dst)-1]
+			r.Size += rt.Size
+			if n.Kind == KCat {
+				r.Nullable = l.Nullable && rt.Nullable
+			} else {
+				r.Nullable = l.Nullable || rt.Nullable
+			}
+		case KOpt, KStar:
+			r.Nullable = true
+		case KIter:
+			r.Nullable = n.Min == 0 || l.Nullable
+		}
+		dst = append(dst, r)
+	}
+	rec(e)
+	return dst, err
+}
+
 // DesugarPlus rewrites every remaining one-or-more iteration e{1,∞} into the
 // plain-operator form e·(e)* (or e* when the body is nullable). This doubles
 // the positions of the body, which is exactly the classical desugaring; the

@@ -64,44 +64,99 @@ type Counted struct {
 	noTable bool
 }
 
-// Compile normalizes (ast.Normalize: Min ≥ 1, Max ≥ 2 for every surviving
-// iteration) and preprocesses e, then runs the linear §3.3 determinism
-// test.
+// Compile normalizes (as ast.Normalize does: Min ≥ 1, Max ≥ 2 for every
+// surviving iteration) and preprocesses e, then runs the linear §3.3
+// determinism test.
 func Compile(e *ast.Node, alpha *ast.Alphabet) (*Counted, error) {
-	root := ast.Normalize(ast.DesugarPlus(ast.Normalize(e)))
-	tree, err := parsetree.BuildNumeric(root, alpha)
+	tree, err := parsetree.BuildNormal(e, alpha)
 	if err != nil {
 		return nil, err
 	}
-	fol := follow.New(tree)
+	return FromTree(tree), nil
+}
+
+// FromTree preprocesses a normalized counted parse tree (as
+// parsetree.Parse or BuildNormal builds it) and runs the linear §3.3
+// determinism test.
+func FromTree(tree *parsetree.Tree) *Counted {
 	c := &Counted{
-		Alpha:   alpha,
-		Tree:    tree,
-		Fol:     fol,
-		chainOf: make([][]parsetree.NodeID, tree.N()),
-		bySym:   make([][]parsetree.NodeID, alpha.Size()),
+		Alpha: tree.Alpha,
+		Tree:  tree,
+		Fol:   follow.New(tree),
 	}
-	for _, p := range tree.PosNode {
-		var chain []parsetree.NodeID
-		for x := tree.Parent[p]; x != parsetree.Null; x = tree.Parent[x] {
-			if tree.Op[x] == parsetree.OpIter {
-				chain = append(chain, x)
+	c.fillChains()
+	c.fillBySym()
+	c.det = c.check()
+	return c
+}
+
+// fillChains sets chainOf in one preorder pass that keeps the open
+// iterations on a stack. Positions under the same iterations share one
+// run of the backing array, and a run that ends the array grows in place
+// when an iteration nests below it, so a chain of nested iterations is
+// stored once however deep it is. The pass runs twice: to size the
+// backing array, then to fill it.
+func (c *Counted) fillChains() {
+	t := c.Tree
+	c.chainOf = make([][]parsetree.NodeID, t.N())
+	var stack []parsetree.NodeID
+	walk := func(backing []parsetree.NodeID) int {
+		stack = stack[:0]
+		used, off, run := 0, 0, 0 // backing[off:off+run] == stack[:run]
+		for x := parsetree.NodeID(0); x < parsetree.NodeID(t.N()); x++ {
+			for len(stack) > 0 && !t.IsAncestor(stack[len(stack)-1], x) {
+				stack = stack[:len(stack)-1]
+			}
+			run = min(run, len(stack))
+			switch t.Op[x] {
+			case parsetree.OpIter:
+				stack = append(stack, x)
+			case parsetree.OpSym:
+				d := len(stack)
+				if d == 0 {
+					continue
+				}
+				if run < d {
+					if off+run != used {
+						off, run = used, 0
+					}
+					if backing != nil {
+						copy(backing[off+run:], stack[run:])
+					}
+					used, run = off+d, d
+				}
+				if backing != nil {
+					c.chainOf[x] = backing[off : off+d : off+d]
+				}
+				c.maxChain = max(c.maxChain, d)
 			}
 		}
-		// outermost first
-		for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-			chain[i], chain[j] = chain[j], chain[i]
-		}
-		c.chainOf[p] = chain
-		if len(chain) > c.maxChain {
-			c.maxChain = len(chain)
-		}
-		if s := tree.Sym[p]; s != ast.Begin {
-			c.bySym[s] = append(c.bySym[s], p)
-		}
+		return used
 	}
-	c.det = c.check()
-	return c, nil
+	if size := walk(nil); size > 0 {
+		walk(make([]parsetree.NodeID, size))
+	}
+}
+
+// fillBySym sets bySym by a counting sort of the positions (# excluded)
+// into one backing array, so each list keeps position order.
+func (c *Counted) fillBySym() {
+	t := c.Tree
+	sigma := t.Alpha.Size()
+	c.bySym = make([][]parsetree.NodeID, sigma)
+	counts := make([]int32, sigma)
+	for _, p := range t.PosNode[1:] {
+		counts[t.Sym[p]]++
+	}
+	backing := make([]parsetree.NodeID, len(t.PosNode)-1)
+	off := int32(0)
+	for a, n := range counts {
+		c.bySym[a] = backing[off : off : off+n]
+		off += n
+	}
+	for _, p := range t.PosNode[1:] {
+		c.bySym[t.Sym[p]] = append(c.bySym[t.Sym[p]], p)
+	}
 }
 
 // CompileString parses math-notation source and compiles it.

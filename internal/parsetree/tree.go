@@ -9,14 +9,21 @@
 //   - nullability, the SupFirst/SupLast predicates, and the pSupFirst,
 //     pSupLast and pStar pointers of Lemma 2.3 / Theorem 2.4.
 //
-// Nodes are dense int32 ids in preorder; all attributes live in parallel
-// slices, so a compiled tree is a handful of allocations regardless of
-// expression size.
+// Nodes are dense int32 ids in preorder, and all attributes live in
+// parallel slices. One array builder fills them, in a single backward pass
+// over postfix records (ast.Rec) that carry each node's nullability and
+// subtree size. Parse feeds it straight from source text — the grammar's
+// records brought into normal form by ast.AppendNormal, on pooled buffers —
+// so compiling builds no pointer AST; Build and BuildNumeric feed it an
+// ast.Node, and BuildNormal an ast.Node's normal form. A tree's int32
+// attributes share one backing array and its flags another, so a tree is
+// five allocations whatever its size.
 package parsetree
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"dregex/internal/ast"
 )
@@ -104,11 +111,44 @@ type Tree struct {
 }
 
 // IterUnbounded is the Max value of an unbounded OpIter node.
-const IterUnbounded = int32(1<<31 - 1)
+const IterUnbounded = int32(ast.Unbounded)
 
 // ErrIterUnsupported is returned by Build when the expression still
 // contains numeric occurrence indicators.
 var ErrIterUnsupported = errors.New("parsetree: numeric iteration requires BuildNumeric")
+
+// Parse compiles source text in notation nt straight into a Tree, building
+// no ast.Node: the grammar's postfix records (ast.AppendParse) are brought
+// into normal form — rules (R2)/(R3) and e+ → e·e*, as
+// ast.Normalize(ast.DesugarPlus(ast.Normalize(·))) would — by
+// ast.AppendNormal, and the array builder fills the tree from them. The
+// record buffers are pooled, so the tree's own arrays are the only
+// allocations that grow with the expression. numeric admits iterations
+// e{i,j} (BuildNumeric's input); without it they are ErrIterUnsupported.
+// Errors are the grammar's *ast.ParseError, ast.ErrExpansionBudget and
+// ErrIterUnsupported.
+func Parse(source string, nt ast.Notation, numeric bool) (*Tree, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	alpha := ast.NewAlphabet()
+	// Every record but a math-notation juxtaposition consumes a byte of
+	// source, and juxtapositions are fewer than symbols; without nested
+	// e+, the normal form about doubles the records at most.
+	size := len(source)
+	if nt == ast.MathNotation {
+		size *= 2
+	}
+	sc.raw = reserve(sc.raw, size)
+	var err error
+	if sc.raw, err = ast.AppendParse(sc.raw, source, alpha, nt); err != nil {
+		return nil, err
+	}
+	sc.recs = reserve(sc.recs, 2*len(sc.raw))
+	if sc.recs, err = ast.AppendNormal(sc.recs, sc.raw); err != nil {
+		return nil, err
+	}
+	return sc.build(sc.recs, alpha, numeric)
+}
 
 // Build compiles a plain (star/opt/union/cat) expression. The input should
 // already be in (R2)/(R3) normal form (ast.Normalize); Build wraps it per
@@ -117,185 +157,229 @@ func Build(e *ast.Node, alpha *ast.Alphabet) (*Tree, error) {
 	if err := ast.ValidatePlain(e); err != nil {
 		return nil, ErrIterUnsupported
 	}
-	return build(e, alpha)
+	return buildNodes(e, alpha, false)
 }
 
 // BuildNumeric compiles an expression that may contain numeric occurrence
 // indicators e{i,j} (paper §3.3). Bounds should be in normal form
 // (Min ≥ 1, Max ≥ 2; see ast.Normalize).
 func BuildNumeric(e *ast.Node, alpha *ast.Alphabet) (*Tree, error) {
-	return build(e, alpha)
+	return buildNodes(e, alpha, false)
 }
 
-func build(e *ast.Node, alpha *ast.Alphabet) (*Tree, error) {
+// BuildNormal compiles the normal form of e, numeric iterations admitted:
+// the tree BuildNumeric(ast.Normalize(ast.DesugarPlus(ast.Normalize(e))))
+// would build, through Parse's flat normal form (ast.AppendNormal) instead
+// of the pointer rewrites. It fails with ast.ErrExpansionBudget as Parse
+// does.
+func BuildNormal(e *ast.Node, alpha *ast.Alphabet) (*Tree, error) {
+	return buildNodes(e, alpha, true)
+}
+
+// buildNodes feeds a pointer tree, or its normal form, to the array
+// builder Parse uses.
+func buildNodes(e *ast.Node, alpha *ast.Alphabet, normalize bool) (*Tree, error) {
 	if e == nil {
 		return nil, errors.New("parsetree: nil expression")
 	}
-	// (R1) wrapping: root = (#·e′)·$.
-	wrapped := ast.Cat(ast.Cat(ast.Sym(ast.Begin), e), ast.Sym(ast.End))
-	n := ast.Size(wrapped)
-	t := &Tree{
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	var err error
+	if sc.raw, err = ast.AppendNodes(sc.raw[:0], e); err != nil {
+		return nil, err
+	}
+	if !normalize {
+		return sc.build(sc.raw, alpha, true)
+	}
+	sc.recs = reserve(sc.recs, 2*len(sc.raw))
+	if sc.recs, err = ast.AppendNormal(sc.recs, sc.raw); err != nil {
+		return nil, err
+	}
+	return sc.build(sc.recs, alpha, true)
+}
+
+// reserve returns s emptied, with capacity for at least n elements.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// scratch is the pooled working memory of Parse and Build: the grammar's
+// records, the normalized records and the builder's preorder ids. None of
+// it holds pointers, and none of it outlives the call.
+type scratch struct {
+	raw, recs []ast.Rec
+	pre       []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// build is the array builder: it fills every Tree attribute from postfix
+// records that carry Nullable and Size, in one pass.
+//
+// With m user records, the tree has n = m+4 nodes: the (R1) wrapper
+// (#·e′)·$ takes preorder ids 0 (root), 1 (#·e′), 2 (#) and n−1 ($), and
+// e′ takes 3…m+2. A record's postorder number is its index plus one (#
+// comes first). Visiting the records backwards visits every node before
+// its operands, so a node's preorder id is known when it is reached — its
+// parent assigned it: the left operand follows the node, the right one
+// follows the left operand's Size records — and so are its Depth, Parent,
+// SupFirst/SupLast flag and its parent's pointers, which is all the
+// top-down attributes need. Nullability comes stored in the records.
+func (sc *scratch) build(recs []ast.Rec, alpha *ast.Alphabet, numeric bool) (*Tree, error) {
+	m := len(recs)
+	positions := 2 // # and $
+	for _, r := range recs {
+		switch r.Kind {
+		case ast.KSym:
+			positions++
+		case ast.KIter:
+			if !numeric {
+				return nil, ErrIterUnsupported
+			}
+		}
+	}
+	n := m + 4
+	t := newTree(alpha, n, positions)
+	end := NodeID(n - 1)
+
+	// The wrapper. #, $ and #·e′ are not nullable, so #·e′ is SupLast
+	// (beside $), $ and e′ are SupFirst (beside #·e′ and #), and # is
+	// SupLast unless e′ is nullable.
+	t.Op[0], t.Parent[0], t.LChild[0], t.RChild[0], t.Post[0] = OpCat, Null, 1, end, int32(m+3)
+	t.Op[1], t.Parent[1], t.LChild[1], t.RChild[1], t.Post[1], t.Depth[1] = OpCat, 0, 2, 3, int32(m+1), 1
+	t.Sym[0], t.Sym[1], t.PosIndex[0], t.PosIndex[1] = -1, -1, -1, -1
+	for _, l := range [2]NodeID{2, end} {
+		t.Op[l], t.LChild[l], t.RChild[l] = OpSym, Null, Null
+	}
+	t.Sym[2], t.Parent[2], t.Post[2], t.Depth[2], t.PosIndex[2] = ast.Begin, 1, 0, 2, 0
+	t.Sym[end], t.Parent[end], t.Post[end], t.Depth[end], t.PosIndex[end] = ast.End, 0, int32(m+2), 1, int32(positions-1)
+	t.PosNode[0], t.PosNode[positions-1] = 2, end
+	t.SupLast[1], t.SupFirst[end] = true, true
+	t.SupLast[2], t.SupFirst[3] = !recs[m-1].Nullable, true
+	t.Parent[3], t.Depth[3] = 1, 2
+	for _, id := range [4]NodeID{0, 1, 2, end} {
+		t.inherit(id)
+	}
+
+	sc.pre = reserve(sc.pre, m)[:m]
+	pre := sc.pre
+	pre[m-1] = 3
+	k := int32(positions - 1)
+	bad := Null // the first iteration, in preorder, not in normal form
+	for i := m - 1; i >= 0; i-- {
+		r := &recs[i]
+		id := pre[i]
+		t.Post[id] = int32(i + 1)
+		t.Nullable[id] = r.Nullable
+		t.Sym[id] = -1
+		t.PosIndex[id] = -1
+		t.LChild[id], t.RChild[id] = Null, Null
+		switch r.Kind {
+		case ast.KSym:
+			t.Op[id] = OpSym
+			t.Sym[id] = r.Sym
+			k--
+			t.PosIndex[id] = k
+			t.PosNode[k] = id
+		case ast.KCat, ast.KUnion:
+			t.Op[id] = OpUnion
+			ri, li := i-1, i-1-int(recs[i-1].Size)
+			l, rc := id+1, id+1+recs[li].Size
+			pre[li], pre[ri] = l, rc
+			t.LChild[id], t.RChild[id] = l, rc
+			t.Parent[l], t.Parent[rc] = id, id
+			t.Depth[l], t.Depth[rc] = t.Depth[id]+1, t.Depth[id]+1
+			if r.Kind == ast.KCat {
+				t.Op[id] = OpCat
+				t.SupFirst[rc] = !recs[li].Nullable
+				t.SupLast[l] = !recs[ri].Nullable
+			}
+		default:
+			switch r.Kind {
+			case ast.KOpt:
+				t.Op[id] = OpOpt
+			case ast.KStar:
+				t.Op[id] = OpStar
+			default:
+				t.Op[id] = OpIter
+				t.Min[id], t.Max[id] = r.Min, r.Max
+				if (r.Min < 1 || (r.Max != ast.Unbounded && r.Max < 2)) && (bad == Null || id < bad) {
+					bad = id
+				}
+			}
+			c := id + 1
+			pre[i-1] = c
+			t.LChild[id] = c
+			t.Parent[c] = id
+			t.Depth[c] = t.Depth[id] + 1
+		}
+		t.inherit(id)
+	}
+	if bad != Null {
+		return nil, fmt.Errorf("parsetree: iteration bounds {%d,%d} not in normal form (run ast.Normalize)", t.Min[bad], t.Max[bad])
+	}
+	return t, nil
+}
+
+// newTree allocates a tree of n nodes and the given number of positions:
+// its int32 arrays share one backing array, and so do its flags.
+func newTree(alpha *ast.Alphabet, n, positions int) *Tree {
+	ints := make([]int32, 12*n+positions)
+	next := func(size int) []int32 {
+		s := ints[:size:size]
+		ints = ints[size:]
+		return s
+	}
+	flags := make([]bool, 3*n)
+	return &Tree{
 		Alpha:     alpha,
 		Op:        make([]Op, n),
 		Sym:       make([]ast.Symbol, n),
-		Min:       make([]int32, n),
-		Max:       make([]int32, n),
-		Parent:    make([]NodeID, n),
-		LChild:    make([]NodeID, n),
-		RChild:    make([]NodeID, n),
-		Post:      make([]int32, n),
-		Depth:     make([]int32, n),
-		Nullable:  make([]bool, n),
-		SupFirst:  make([]bool, n),
-		SupLast:   make([]bool, n),
-		PSupFirst: make([]NodeID, n),
-		PSupLast:  make([]NodeID, n),
-		PStar:     make([]NodeID, n),
-		PLoop:     make([]NodeID, n),
-		PosIndex:  make([]int32, n),
+		Min:       next(n),
+		Max:       next(n),
+		Parent:    next(n),
+		LChild:    next(n),
+		RChild:    next(n),
+		Post:      next(n),
+		Depth:     next(n),
+		Nullable:  flags[:n:n],
+		SupFirst:  flags[n : 2*n : 2*n],
+		SupLast:   flags[2*n:],
+		PSupFirst: next(n),
+		PSupLast:  next(n),
+		PStar:     next(n),
+		PLoop:     next(n),
+		PosNode:   next(positions),
+		PosIndex:  next(n),
+		Root:      0,
+		UserRoot:  3,
 	}
+}
 
-	// Iterative preorder construction (expressions can be very deep).
-	type frame struct {
-		n      *ast.Node
-		parent NodeID
+// inherit fills the pointer attributes of id from its own flags and its
+// parent's pointers, which must already be final.
+func (t *Tree) inherit(id NodeID) {
+	op := t.Op[id]
+	sf, sl, ps, pl := Null, Null, Null, Null
+	if p := t.Parent[id]; p != Null {
+		sf, sl, ps, pl = t.PSupFirst[p], t.PSupLast[p], t.PStar[p], t.PLoop[p]
 	}
-	stack := make([]frame, 0, 64)
-	stack = append(stack, frame{wrapped, Null})
-	next := NodeID(0)
-	post := int32(0)
-	// postStack tracks nodes whose subtrees are being emitted so we can
-	// assign postorder numbers; we instead compute Post in a second pass
-	// below, which is simpler with an explicit preorder stack.
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		id := next
-		next++
-		a := f.n
-		t.Parent[id] = f.parent
-		t.LChild[id] = Null
-		t.RChild[id] = Null
-		t.Sym[id] = -1
-		t.PosIndex[id] = -1
-		if f.parent != Null {
-			t.Depth[id] = t.Depth[f.parent] + 1
-			if t.LChild[f.parent] == Null {
-				t.LChild[f.parent] = id
-			} else {
-				t.RChild[f.parent] = id
-			}
-		}
-		switch a.Kind {
-		case ast.KSym:
-			t.Op[id] = OpSym
-			t.Sym[id] = a.Sym
-		case ast.KCat:
-			t.Op[id] = OpCat
-		case ast.KUnion:
-			t.Op[id] = OpUnion
-		case ast.KOpt:
-			t.Op[id] = OpOpt
-		case ast.KStar:
-			t.Op[id] = OpStar
-		case ast.KIter:
-			t.Op[id] = OpIter
-			t.Min[id] = int32(a.Min)
-			if a.Max == ast.Unbounded {
-				t.Max[id] = IterUnbounded
-			} else {
-				t.Max[id] = int32(a.Max)
-			}
-			if a.Min < 1 || (t.Max[id] != IterUnbounded && a.Max < 2) {
-				return nil, fmt.Errorf("parsetree: iteration bounds {%d,%d} not in normal form (run ast.Normalize)", a.Min, a.Max)
-			}
-		default:
-			return nil, fmt.Errorf("parsetree: unknown ast kind %v", a.Kind)
-		}
-		// Push right first so the left subtree gets smaller preorder ids.
-		if a.R != nil {
-			stack = append(stack, frame{a.R, id})
-		}
-		if a.L != nil {
-			stack = append(stack, frame{a.L, id})
-		}
+	if t.SupFirst[id] {
+		sf = id
 	}
-	if int(next) != n {
-		return nil, fmt.Errorf("parsetree: built %d of %d nodes", next, n)
+	if t.SupLast[id] {
+		sl = id
 	}
-	t.Root = 0
-	t.UserRoot = t.RChild[t.LChild[t.Root]]
-
-	// Postorder numbers, nullability and positions in one iterative
-	// post-order pass.
-	t.PosNode = t.PosNode[:0]
-	type pf struct {
-		id       NodeID
-		expanded bool
+	if op == OpStar {
+		ps = id
 	}
-	pstack := make([]pf, 0, 64)
-	pstack = append(pstack, pf{t.Root, false})
-	for len(pstack) > 0 {
-		f := &pstack[len(pstack)-1]
-		if !f.expanded {
-			f.expanded = true
-			id := f.id
-			if r := t.RChild[id]; r != Null {
-				pstack = append(pstack, pf{r, false})
-			}
-			if l := t.LChild[id]; l != Null {
-				pstack = append(pstack, pf{l, false})
-			}
-			continue
-		}
-		id := f.id
-		pstack = pstack[:len(pstack)-1]
-		t.Post[id] = post
-		post++
-		switch t.Op[id] {
-		case OpSym:
-			t.PosIndex[id] = int32(len(t.PosNode))
-			t.PosNode = append(t.PosNode, id)
-			t.Nullable[id] = false
-		case OpCat:
-			t.Nullable[id] = t.Nullable[t.LChild[id]] && t.Nullable[t.RChild[id]]
-		case OpUnion:
-			t.Nullable[id] = t.Nullable[t.LChild[id]] || t.Nullable[t.RChild[id]]
-		case OpOpt, OpStar:
-			t.Nullable[id] = true
-		case OpIter:
-			t.Nullable[id] = t.Nullable[t.LChild[id]]
-		}
+	if op == OpStar || (op == OpIter && t.Max[id] >= 2) {
+		pl = id
 	}
-
-	// Positions were appended in postorder of leaves, which coincides with
-	// left-to-right order; nothing to fix up. Now the top-down attributes.
-	for id := NodeID(0); id < NodeID(n); id++ {
-		p := t.Parent[id]
-		if p != Null && t.Op[p] == OpCat {
-			if id == t.RChild[p] {
-				t.SupFirst[id] = !t.Nullable[t.LChild[p]]
-			} else {
-				t.SupLast[id] = !t.Nullable[t.RChild[p]]
-			}
-		}
-		// Preorder ids mean parents precede children, so the pointer
-		// arrays can be filled in id order.
-		inherit := func(dst []NodeID, self bool) {
-			if self {
-				dst[id] = id
-			} else if p == Null {
-				dst[id] = Null
-			} else {
-				dst[id] = dst[p]
-			}
-		}
-		inherit(t.PSupFirst, t.SupFirst[id])
-		inherit(t.PSupLast, t.SupLast[id])
-		inherit(t.PStar, t.Op[id] == OpStar)
-		inherit(t.PLoop, t.Op[id] == OpStar || (t.Op[id] == OpIter && t.Max[id] >= 2))
-	}
-	return t, nil
+	t.PSupFirst[id], t.PSupLast[id], t.PStar[id], t.PLoop[id] = sf, sl, ps, pl
 }
 
 // N returns the number of nodes including the (R1) wrapper.

@@ -534,3 +534,26 @@ func TestQueryParam(t *testing.T) {
 		}
 	}
 }
+
+// TestExpansionBudgetRejected: a model whose nested + would desugar past
+// dregex.ExpansionBudget is the input's own compile error — 422 on
+// /v1/compile and on PUT /v1/schemas, where the old version stays live.
+func TestExpansionBudgetRejected(t *testing.T) {
+	_, _, c := newTestServer(t)
+	ctx := context.Background()
+	deep := strings.Repeat("(", 22) + "a" + strings.Repeat(")+", 22)
+	_, err := c.Compile(ctx, client.CompileRequest{Expr: deep, Syntax: client.SyntaxDTD})
+	if ae, ok := err.(*client.APIError); !ok || ae.Status != http.StatusUnprocessableEntity {
+		t.Errorf("compile of 22 nested +: %v, want 422", err)
+	}
+	if _, err := c.PutSchema(ctx, "deep", client.KindDTD, []byte(testDTD)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.PutSchema(ctx, "deep", client.KindDTD, []byte("<!ELEMENT r "+deep+">\n<!ELEMENT a EMPTY>"))
+	if ae, ok := err.(*client.APIError); !ok || ae.Status != http.StatusUnprocessableEntity {
+		t.Errorf("PUT of 22 nested +: %v, want 422", err)
+	}
+	if got, err := c.GetSchema(ctx, "deep"); err != nil || got.Version != 1 {
+		t.Errorf("after the rejected PUT: %+v err=%v", got, err)
+	}
+}

@@ -16,10 +16,20 @@
 // proves the expression nondeterministic and is reported with a witness
 // pair. The total size of all skeleta and the total construction time are
 // O(|e|) (Lemma 3.1, Lemma 3.2).
+//
+// Build works on one pooled scratch arena. It sorts the base entries
+// (positions and colored nodes) once by (symbol, preorder) into flat
+// per-symbol segments, in which (P1) shows as two colored entries with the
+// same key. Each segment becomes the virtual tree of its LCA closure in
+// one rightmost-path stack pass; the pSupLast and pStar nodes of its class
+// nodes are spliced into the tree edges above them; and a preorder walk
+// writes the flat arrays. The returned arrays share two allocations, so
+// the number of allocations does not grow with |e|.
 package skeleton
 
 import (
 	"fmt"
+	"sync"
 
 	"dregex/internal/ast"
 	"dregex/internal/follow"
@@ -80,13 +90,20 @@ type Options struct {
 }
 
 // Build constructs all skeleta for t. fol must be an index for t.
+//
+// The construction runs on one pooled scratch arena: the base entries are
+// sorted once by (symbol, preorder) into flat per-symbol segments (two
+// counting sorts); one stack pass per segment closes it under LCA,
+// building the virtual tree of its class-a nodes; a pass over the class
+// nodes splices each one's pSupLast and pStar nodes into its parent edge;
+// and a preorder walk of each segment writes the flat arrays. Lemma 3.1
+// bounds every pass by O(|e|), and the only allocations are the returned
+// arrays, so their number does not grow with |e|.
 func Build(t *parsetree.Tree, fol *follow.Index, opt Options) *Skeletons {
 	s := &Skeletons{T: t, Fol: fol, opt: opt}
-	if v := s.checkP1(); v != nil {
-		s.NonDet = v
-		return s
-	}
-	s.construct()
+	a := arenaPool.Get().(*arena)
+	defer arenaPool.Put(a)
+	s.construct(a)
 	if s.NonDet != nil {
 		return s
 	}
@@ -94,288 +111,282 @@ func Build(t *parsetree.Tree, fol *follow.Index, opt Options) *Skeletons {
 	if s.NonDet != nil {
 		return s
 	}
-	s.buildNext(opt)
+	s.buildNext(opt, a)
 	return s
 }
 
-// checkP1 verifies condition (P1): no two distinct equally-labeled
-// positions share a pSupFirst pointer. One counting sort + one stamped
-// scan, O(|e| + σ).
-func (s *Skeletons) checkP1() *Violation {
-	t := s.T
-	n := t.N()
-	m := t.NumPositions()
-	// Counting sort positions by their pSupFirst node id.
-	counts := make([]int32, n+1)
-	for i := 0; i < m; i++ {
-		p := t.PosNode[i]
-		if psf := t.PSupFirst[p]; psf != parsetree.Null {
-			counts[psf]++
-		}
-	}
-	offs := make([]int32, n+1)
-	var acc int32
-	for i := 0; i <= n; i++ {
-		offs[i] = acc
-		acc += counts[i]
-	}
-	sorted := make([]parsetree.NodeID, acc)
-	for i := 0; i < m; i++ {
-		p := t.PosNode[i]
-		if psf := t.PSupFirst[p]; psf != parsetree.Null {
-			sorted[offs[psf]] = p
-			offs[psf]++
-		}
-	}
-	// Scan groups; stamp[symbol] marks the last group the symbol was seen
-	// in, so a repeat within one group is a (P1) violation.
-	sigma := t.Alpha.Size()
-	stamp := make([]int32, sigma)
-	prev := make([]parsetree.NodeID, sigma)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	group := int32(0)
-	for i := 0; i < len(sorted); {
-		j := i
-		psf := t.PSupFirst[sorted[i]]
-		for j < len(sorted) && t.PSupFirst[sorted[j]] == psf {
-			j++
-		}
-		for k := i; k < j; k++ {
-			p := sorted[k]
-			sym := t.Sym[p]
-			if stamp[sym] == group {
-				return &Violation{Rule: "P1", Q1: prev[sym], Q2: p}
-			}
-			stamp[sym] = group
-			prev[sym] = p
-		}
-		group++
-		i = j
-	}
-	return nil
-}
-
-// entry is one (symbol, node) membership candidate for a skeleton,
-// optionally carrying a color witness.
+// entry is one (symbol, node) member of a base set, carrying the color
+// witness of a colored node (Null for a position).
 type entry struct {
 	sym  ast.Symbol
 	node parsetree.NodeID
-	wit  parsetree.NodeID // Null unless this entry colors node with sym
+	wit  parsetree.NodeID
 }
 
-// construct materializes all skeleta: base sets, LCA closure, the
-// pSupLast/pStar extension, and the tree structure.
-func (s *Skeletons) construct() {
+// arena is the pooled scratch of one Build. The temporary skeleton nodes
+// (tNode … tR) of every segment live here until the output arrays, whose
+// size they determine, are written; tPar, tL and tR hold temporary ids,
+// -1 for none.
+type arena struct {
+	count        []int32
+	ent, sorted  []entry
+	tNode, tWit  []parsetree.NodeID
+	tPar, tL, tR []int32
+	root         []int32 // per symbol: the root of its temporary nodes
+	stack        []int32
+	items        []item
+}
+
+var arenaPool = sync.Pool{New: func() any { return new(arena) }}
+
+// grow returns s resliced to length n, reallocated only when too small.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// construct materializes all skeleta, or sets NonDet on a (P1) violation.
+func (s *Skeletons) construct(a *arena) {
 	t := s.T
 	sigma := t.Alpha.Size()
 
-	// Base entries: every position, plus a colored entry per position of
-	// e′ (and $); # has no pSupFirst and contributes no color.
-	entries := make([]entry, 0, 2*t.NumPositions())
+	// Base entries, in position order: every position, plus a colored
+	// entry per position of e′ (and $) at the parent of its pSupFirst; #
+	// has no pSupFirst and contributes no color.
+	a.ent = grow(a.ent, 2*len(t.PosNode))[:0]
 	for _, p := range t.PosNode {
-		entries = append(entries, entry{t.Sym[p], p, parsetree.Null})
+		a.ent = append(a.ent, entry{t.Sym[p], p, parsetree.Null})
 		if psf := t.PSupFirst[p]; psf != parsetree.Null {
-			entries = append(entries, entry{t.Sym[p], t.Parent[psf], p})
+			a.ent = append(a.ent, entry{t.Sym[p], t.Parent[psf], p})
 		}
 	}
+	colored := len(a.ent) - len(t.PosNode)
 
-	// 1. Sort the base sets and close them under LCA: the class-a nodes.
-	perSym := s.sortEntries(entries, sigma)
-	if s.NonDet != nil {
+	// Sort by (symbol, node): a stable counting sort by node, then one by
+	// symbol. Equal keys keep position order.
+	a.sorted = grow(a.sorted, len(a.ent))
+	a.count = grow(a.count, max(t.N(), sigma)+1)
+	countingSort(a.sorted, a.ent, a.count[:t.N()+1], func(e entry) int32 { return e.node })
+	countingSort(a.ent, a.sorted, a.count[:sigma+1], func(e entry) int32 { return int32(e.sym) })
+	ent := a.ent
+
+	// (P1): two equally-labeled positions sharing a pSupFirst node share
+	// the colored node above it, and only there can two entries share a
+	// key. Report the violation a scan of pSupFirst groups in id order
+	// meets first: the lowest pSupFirst (the right child of the colored
+	// node), then the earliest second occurrence.
+	var p1 Violation
+	var p1At parsetree.NodeID
+	for i := 1; i < len(ent); i++ {
+		if ent[i].node != ent[i-1].node || ent[i].sym != ent[i-1].sym ||
+			(i > 1 && ent[i-2].node == ent[i].node && ent[i-2].sym == ent[i].sym) {
+			continue // not the second entry of a run of equal keys
+		}
+		psf := t.RChild[ent[i].node]
+		if p1.Rule == "" || psf < p1At || (psf == p1At && ent[i].wit < p1.Q2) {
+			p1, p1At = Violation{Rule: "P1", Q1: ent[i-1].wit, Q2: ent[i].wit}, psf
+		}
+	}
+	if p1.Rule != "" {
+		s.NonDet = &p1
 		return
 	}
-	perSym = s.lcaClose(perSym, sigma)
-	if s.NonDet != nil {
-		return
+
+	// Per symbol: the class-a nodes, then their pSupLast/pStar nodes.
+	bound := 6 * len(ent) // ≤ 2b−1 class nodes and 2 extension nodes each, per segment of b entries
+	a.tNode, a.tWit = grow(a.tNode, bound)[:0], grow(a.tWit, bound)[:0]
+	a.tPar, a.tL, a.tR = grow(a.tPar, bound)[:0], grow(a.tL, bound)[:0], grow(a.tR, bound)[:0]
+	a.root = grow(a.root, sigma)
+	a.stack = grow(a.stack, 2*bound)
+	for lo, sym := 0, 0; sym < sigma; sym++ {
+		hi := lo
+		for hi < len(ent) && int(ent[hi].sym) == sym {
+			hi++
+		}
+		a.root[sym] = -1
+		if hi > lo {
+			first := int32(len(a.tNode))
+			a.root[sym] = s.closeSegment(a, ent[lo:hi])
+			s.extendSegment(a, first, int32(len(a.tNode)), int32(sym))
+		}
+		lo = hi
 	}
 
-	// 2. Extend with the pSupLast and pStar nodes of the class-a nodes —
-	// applied once, exactly as in the paper's skeleton definition.
-	var extra []entry
-	for sym := 0; sym < sigma; sym++ {
-		list := perSym[sym]
-		for i := range list {
-			node := list[i].node
-			if psl := t.PSupLast[node]; psl != parsetree.Null && !containsNode(list, psl) {
-				extra = append(extra, entry{ast.Symbol(sym), psl, parsetree.Null})
-			}
-			ps := t.PStar[node]
-			if s.opt.NumericLoops {
-				ps = t.PLoop[node] // iterations loop too (§3.3)
-			}
-			if ps != parsetree.Null && !containsNode(list, ps) {
-				extra = append(extra, entry{ast.Symbol(sym), ps, parsetree.Null})
-			}
-		}
-	}
-	if len(extra) > 0 {
-		for sym := range perSym {
-			extra = append(extra, perSym[sym]...)
-		}
-		perSym = s.sortEntries(extra, sigma)
-		if s.NonDet != nil {
-			return
-		}
-		// The extension adds only ancestors of existing members, so the
-		// set stays LCA-closed; lcaClose verifies and repairs if needed.
-		perSym = s.lcaClose(perSym, sigma)
-		if s.NonDet != nil {
-			return
-		}
-	}
-
-	// Flatten into the arrays and build each skeleton's tree with the
-	// classical rightmost-path stack over the preorder-sorted node list.
+	// Write the flat arrays: each segment in preorder, which visits the
+	// left e-subtree before the right one.
+	total := len(a.tNode)
 	s.Start = make([]int32, sigma+1)
-	total := 0
+	ints := make([]int32, 7*total)
+	next := func() []int32 {
+		out := ints[:total:total]
+		ints = ints[total:]
+		return out
+	}
+	s.ENode, s.Par, s.Lch, s.Rch = next(), next(), next(), next()
+	s.Wit, s.First, s.Next = next(), next(), next()
+	s.ColoredNodes = make([]Colored, 0, colored)
+	idx := int32(0)
 	for sym := 0; sym < sigma; sym++ {
-		s.Start[sym] = int32(total)
-		total += len(perSym[sym])
-	}
-	s.Start[sigma] = int32(total)
-	s.ENode = make([]parsetree.NodeID, total)
-	s.Par = make([]int32, total)
-	s.Lch = make([]int32, total)
-	s.Rch = make([]int32, total)
-	s.Wit = make([]parsetree.NodeID, total)
-	s.First = make([]parsetree.NodeID, total)
-	s.Next = make([]parsetree.NodeID, total)
-	for i := range s.Par {
-		s.Par[i], s.Lch[i], s.Rch[i] = -1, -1, -1
-		s.Wit[i], s.First[i], s.Next[i] = parsetree.Null, parsetree.Null, parsetree.Null
-	}
-	for sym := 0; sym < sigma; sym++ {
-		base := int(s.Start[sym])
-		list := perSym[sym]
-		var stack []int32
-		for i := range list {
-			idx := int32(base + i)
-			s.ENode[idx] = list[i].node
-			s.Wit[idx] = list[i].wit
-			if list[i].wit != parsetree.Null {
-				s.ColoredNodes = append(s.ColoredNodes, Colored{
-					Sym: ast.Symbol(sym), Node: list[i].node, Sk: idx,
-				})
-			}
-			// Pop the rightmost path down to the nearest ancestor.
-			for len(stack) > 0 && !t.IsAncestor(s.ENode[stack[len(stack)-1]], list[i].node) {
-				stack = stack[:len(stack)-1]
-			}
-			if len(stack) > 0 {
-				s.attach(stack[len(stack)-1], idx)
-			}
-			stack = append(stack, idx)
-		}
-	}
-}
-
-// attach links child c under skeleton parent p, on the e-side determined by
-// which e-child subtree of ENode[p] contains ENode[c].
-func (s *Skeletons) attach(p, c int32) {
-	t := s.T
-	s.Par[c] = p
-	pe := s.ENode[p]
-	if l := t.LChild[pe]; l != parsetree.Null && t.IsAncestor(l, s.ENode[c]) {
-		if s.Lch[p] != -1 {
-			panic("skeleton: left slot occupied — set not LCA-closed")
-		}
-		s.Lch[p] = c
-		return
-	}
-	if s.Rch[p] != -1 {
-		panic("skeleton: right slot occupied — set not LCA-closed")
-	}
-	s.Rch[p] = c
-}
-
-// lcaClose inserts the LCAs of preorder-consecutive members until the sets
-// are LCA-closed. One insertion pass suffices for a preorder-sorted list
-// (the classical virtual-tree fact); the loop re-verifies after resorting.
-func (s *Skeletons) lcaClose(perSym [][]entry, sigma int) [][]entry {
-	for round := 0; ; round++ {
-		if round > 8 {
-			panic("skeleton: LCA closure did not stabilize")
-		}
-		var extra []entry
-		for sym := 0; sym < sigma; sym++ {
-			list := perSym[sym]
-			for i := 1; i < len(list); i++ {
-				l := s.Fol.LCA.Query(list[i-1].node, list[i].node)
-				if !containsNode(list, l) {
-					extra = append(extra, entry{ast.Symbol(sym), l, parsetree.Null})
-				}
-			}
-		}
-		if len(extra) == 0 {
-			return perSym
-		}
-		for sym := range perSym {
-			extra = append(extra, perSym[sym]...)
-		}
-		perSym = s.sortEntries(extra, sigma)
-		if s.NonDet != nil {
-			return perSym
-		}
-	}
-}
-
-// sortEntries counting-sorts entries by node id and regroups them per
-// symbol, deduplicating nodes and merging witnesses. A node acquiring two
-// witnesses for one symbol would contradict (P1), which was checked first.
-func (s *Skeletons) sortEntries(entries []entry, sigma int) [][]entry {
-	t := s.T
-	n := t.N()
-	counts := make([]int32, n+1)
-	for _, e := range entries {
-		counts[e.node]++
-	}
-	var acc int32
-	offs := make([]int32, n+1)
-	for i := 0; i <= n; i++ {
-		offs[i] = acc
-		acc += counts[i]
-	}
-	sorted := make([]entry, len(entries))
-	for _, e := range entries {
-		sorted[offs[e.node]] = e
-		offs[e.node]++
-	}
-	perSym := make([][]entry, sigma)
-	for _, e := range sorted {
-		list := perSym[e.sym]
-		if len(list) > 0 && list[len(list)-1].node == e.node {
-			last := &list[len(list)-1]
-			if e.wit != parsetree.Null {
-				if last.wit != parsetree.Null && last.wit != e.wit {
-					s.NonDet = &Violation{Rule: "P1", Q1: last.wit, Q2: e.wit}
-					return perSym
-				}
-				last.wit = e.wit
-			}
+		s.Start[sym] = idx
+		if a.root[sym] == -1 {
 			continue
 		}
-		perSym[e.sym] = append(list, e)
+		stack := append(a.stack[:0], a.root[sym], -1) // (temporary id, parent's index)
+		for len(stack) > 0 {
+			u, pi := stack[len(stack)-2], stack[len(stack)-1]
+			stack = stack[:len(stack)-2]
+			s.ENode[idx], s.Wit[idx] = a.tNode[u], a.tWit[u]
+			s.Par[idx], s.Lch[idx], s.Rch[idx] = pi, -1, -1
+			s.First[idx], s.Next[idx] = parsetree.Null, parsetree.Null
+			if pi != -1 {
+				if a.tL[a.tPar[u]] == u {
+					s.Lch[pi] = idx
+				} else {
+					s.Rch[pi] = idx
+				}
+			}
+			if a.tWit[u] != parsetree.Null {
+				s.ColoredNodes = append(s.ColoredNodes, Colored{Sym: ast.Symbol(sym), Node: a.tNode[u], Sk: idx})
+			}
+			if c := a.tR[u]; c != -1 {
+				stack = append(stack, c, idx)
+			}
+			if c := a.tL[u]; c != -1 {
+				stack = append(stack, c, idx)
+			}
+			idx++
+		}
+		a.stack = stack
 	}
-	return perSym
+	s.Start[sigma] = idx
 }
 
-func containsNode(list []entry, n parsetree.NodeID) bool {
-	// list is sorted by node id; binary search.
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch {
-		case list[mid].node == n:
-			return true
-		case list[mid].node < n:
-			lo = mid + 1
-		default:
-			hi = mid
+// countingSort stably sorts src into dst by key, with count sized to the
+// key range.
+func countingSort(dst, src []entry, count []int32, key func(entry) int32) {
+	clear(count)
+	for _, e := range src {
+		count[key(e)]++
+	}
+	off := int32(0)
+	for i, c := range count {
+		count[i] = off
+		off += c
+	}
+	for _, e := range src {
+		k := key(e)
+		dst[count[k]] = e
+		count[k]++
+	}
+}
+
+// newNode appends a temporary skeleton node for e-node n.
+func (a *arena) newNode(n, wit parsetree.NodeID) int32 {
+	a.tNode = append(a.tNode, n)
+	a.tWit = append(a.tWit, wit)
+	a.tPar = append(a.tPar, -1)
+	a.tL = append(a.tL, -1)
+	a.tR = append(a.tR, -1)
+	return int32(len(a.tNode) - 1)
+}
+
+// link makes c a child of p, on the side of p's e-child that contains it.
+func (s *Skeletons) link(a *arena, p, c int32) {
+	a.tPar[c] = p
+	if s.T.IsAncestor(s.T.LChild[a.tNode[p]], a.tNode[c]) {
+		a.tL[p] = c
+	} else {
+		a.tR[p] = c
+	}
+}
+
+// closeSegment builds the virtual tree of one segment — its entries, in
+// preorder and with distinct nodes, plus the LCAs of preorder-consecutive
+// entries, which close it under LCA — with the classical rightmost-path
+// stack, and returns its root.
+func (s *Skeletons) closeSegment(a *arena, seg []entry) int32 {
+	t := s.T
+	stack := a.stack[:0]
+	for _, e := range seg {
+		u := a.newNode(e.node, e.wit)
+		if len(stack) > 0 {
+			top := stack[len(stack)-1]
+			if l := s.Fol.LCA.Query(a.tNode[top], e.node); l != a.tNode[top] {
+				// Pop the path below l, linking each node to the one
+				// beneath it; l joins the path if it is new.
+				last := top
+				stack = stack[:len(stack)-1]
+				for len(stack) > 0 && t.Depth[a.tNode[stack[len(stack)-1]]] > t.Depth[l] {
+					s.link(a, stack[len(stack)-1], last)
+					last = stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+				}
+				if len(stack) == 0 || a.tNode[stack[len(stack)-1]] != l {
+					stack = append(stack, a.newNode(l, parsetree.Null))
+				}
+				s.link(a, stack[len(stack)-1], last)
+			}
+		}
+		stack = append(stack, u)
+	}
+	for len(stack) > 1 {
+		s.link(a, stack[len(stack)-2], stack[len(stack)-1])
+		stack = stack[:len(stack)-1]
+	}
+	a.stack = stack
+	return stack[0]
+}
+
+// extendSegment adds the pSupLast and pStar nodes of the class nodes
+// [first, end) of symbol sym. Each is an ancestor of its class node u; one
+// at or above u's parent P is P's own pointer (or P), so only those strictly
+// between P and u — or above the root — are new, and they are spliced into
+// the edge from P to u, keeping the set LCA-closed.
+func (s *Skeletons) extendSegment(a *arena, first, end, sym int32) {
+	t := s.T
+	for u := first; u < end; u++ {
+		x, p := a.tNode[u], a.tPar[u]
+		keep := func(c parsetree.NodeID) bool {
+			return c != parsetree.Null && c != x && (p == -1 || !t.IsAncestor(c, a.tNode[p]))
+		}
+		c1, c2 := t.PSupLast[x], t.PStar[x]
+		if s.opt.NumericLoops {
+			c2 = t.PLoop[x] // iterations loop too (§3.3)
+		}
+		k1, k2 := keep(c1), keep(c2) && c2 != c1
+		if k1 && k2 && t.IsAncestor(c1, c2) {
+			c1, c2 = c2, c1 // c1 is the lower one
+		}
+		if k1 || k2 {
+			if !k1 {
+				c1 = c2
+			}
+			u2 := s.splice(a, u, c1, sym)
+			if k1 && k2 {
+				s.splice(a, u2, c2, sym)
+			}
 		}
 	}
-	return false
+}
+
+// splice inserts a node for e-node c between temporary node u and its
+// parent, and returns it.
+func (s *Skeletons) splice(a *arena, u int32, c parsetree.NodeID, sym int32) int32 {
+	x := a.newNode(c, parsetree.Null)
+	p := a.tPar[u]
+	a.tPar[x] = p
+	switch {
+	case p == -1:
+		a.root[sym] = x
+	case a.tL[p] == u:
+		a.tL[p] = x
+	default:
+		a.tR[p] = x
+	}
+	s.link(a, x, u)
+	return x
 }
 
 // computeFirstPos fills FirstPos(n,a) bottom-up: a child's FirstPos
@@ -409,32 +420,14 @@ func (s *Skeletons) computeFirstPos() {
 	}
 }
 
-// symOf returns the symbol whose skeleton contains global index i.
-func (s *Skeletons) symOf(i int32) ast.Symbol {
-	// Binary search over Start.
-	lo, hi := 0, len(s.Start)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if s.Start[mid] <= i {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return ast.Symbol(lo)
-}
-
 // buildNext is Algorithm 1 of the paper, run iteratively over every
 // skeleton root. Y carries at most two candidate positions; a third
 // distinct candidate, or a Next set with two elements (condition (P2)
 // violated), proves nondeterminism.
-func (s *Skeletons) buildNext(opt Options) {
+func (s *Skeletons) buildNext(opt Options, a *arena) {
 	t := s.T
-	type item struct {
-		idx int32
-		y   ySet
-	}
-	var stack []item
+	a.items = grow(a.items, len(s.ENode))
+	stack := a.items[:0]
 	for sym := 0; sym < len(s.Start)-1; sym++ {
 		for i := s.Start[sym]; i < s.Start[sym+1]; i++ {
 			if s.Par[i] == -1 {
@@ -524,6 +517,12 @@ func (s *Skeletons) reportYOverflow(y ySet, extra parsetree.NodeID) {
 	// pair (and the rejected extra) witnesses |Y| > 2.
 	_ = extra
 	s.NonDet = &Violation{Rule: "Y-overflow", Q1: y.v[0], Q2: y.v[1]}
+}
+
+// item is a pending skeleton node of Algorithm 1 with the Y it inherits.
+type item struct {
+	idx int32
+	y   ySet
 }
 
 // ySet is the bounded candidate set Y of Algorithm 1: at most two distinct

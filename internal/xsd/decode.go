@@ -218,7 +218,8 @@ func localPart(qname string) string {
 // maxOccurs="0" prohibits the particle (returned as min=max=0); pairing
 // it with an explicit positive minOccurs is contradictory and rejected
 // like any other max < min (a defaulted minOccurs is forgiven — bare
-// maxOccurs="0" is the common prohibition shorthand).
+// maxOccurs="0" is the common prohibition shorthand). A finite bound
+// above ast.MaxBound does not fit the parse tree and is rejected.
 func (d *decoder) occurs(se xml.StartElement) (min, max int, err error) {
 	min, max = 1, 1
 	minExplicit := false
@@ -226,6 +227,9 @@ func (d *decoder) occurs(se xml.StartElement) (min, max int, err error) {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			return 0, 0, errAt(d.line(), "invalid minOccurs %q", v)
+		}
+		if n > ast.MaxBound {
+			return 0, 0, errAt(d.line(), "minOccurs %s exceeds %d", v, ast.MaxBound)
 		}
 		min = n
 		minExplicit = true
@@ -237,6 +241,9 @@ func (d *decoder) occurs(se xml.StartElement) (min, max int, err error) {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 0 {
 				return 0, 0, errAt(d.line(), "invalid maxOccurs %q", v)
+			}
+			if n > ast.MaxBound {
+				return 0, 0, errAt(d.line(), "maxOccurs %s exceeds %d", v, ast.MaxBound)
 			}
 			max = n
 		}

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"dregex/internal/ast"
-	"dregex/internal/glushkov"
 	"dregex/internal/match"
 	"dregex/internal/match/colored"
 	"dregex/internal/match/kore"
@@ -334,9 +333,3 @@ func (e *Expr) MatchAllWords(words [][]ast.Symbol, algo Algorithm) ([]bool, erro
 	}
 	return out, nil
 }
-
-// Glushkov exposes the baseline position automaton (primarily for
-// benchmarks and cross-validation); its construction is O(σ|e|) for
-// deterministic expressions and quadratic in general — the cost the
-// paper's algorithms avoid.
-func (e *Expr) Glushkov() *glushkov.Automaton { return glushkov.Build(e.tree) }

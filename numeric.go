@@ -24,14 +24,11 @@ type NumericExpr struct {
 // CompileNumeric parses (through the same front end as Compile) and
 // preprocesses an expression that may use numeric occurrence indicators.
 func CompileNumeric(source string, syntax Syntax) (*NumericExpr, error) {
-	root, alpha, err := parseSource(source, syntax)
+	tree, err := parseTree(source, syntax, true)
 	if err != nil {
 		return nil, err
 	}
-	c, err := numeric.Compile(root, alpha)
-	if err != nil {
-		return nil, err
-	}
+	c := numeric.FromTree(tree)
 	e := &NumericExpr{source: source, c: c}
 	e.m = NumericMatcher{c: c}
 	numericBuilds.Add(1)
