@@ -44,12 +44,13 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzXMLTok -fuzztime $(FUZZTIME) ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzLexer -fuzztime $(FUZZTIME) .
 	$(GO) test -run xxx -fuzz FuzzCompile -fuzztime $(FUZZTIME) .
+	$(GO) test -run xxx -fuzz FuzzValidateDoc -fuzztime $(FUZZTIME) ./internal/validate
 
 # bench runs the Go benchmark sweep and the benchtab experiment tables,
 # snapshotting both into BENCH_<date>.json for cross-PR comparison. The
 # sweep covers the root package plus the validator hot path (server
-# handlers and the xmltok tokenizer).
-BENCH_PKGS := . ./internal/server ./internal/xmltok
+# handlers, the xmltok tokenizer and the validation driver).
+BENCH_PKGS := . ./internal/server ./internal/xmltok ./internal/validate
 bench:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) -benchmem $(BENCH_PKGS) \
 		| tee /tmp/dregex_bench.txt
@@ -67,15 +68,16 @@ bench:
 bench-snapshot: bench
 
 # Pinned hot-path benchmarks: the 0/1-alloc steady-state paths, the
-# dense-table tier, and the compile path (CompileSource, MatcherFresh),
-# whose allocations must not grow with the expression again. bench-check runs just these, wraps the output in a
+# dense-table tier, the validation driver (ValidateWide, ValidateIDs), and
+# the compile path (CompileSource, MatcherFresh), whose allocations must
+# not grow with the expression again. bench-check runs just these, wraps the output in a
 # snapshot, and diffs it against the newest committed BENCH_*.json with the
 # regression gate: >25% worse on a gated metric (or any movement off a
 # pinned zero) fails. CI gates the allocation metrics only — B/op and
 # allocs/op are machine-independent, while ns/op across runner generations
 # is not; run `make bench-check GATE_UNITS=` locally on the machine that
 # wrote the baseline to gate time too.
-BENCH_PINNED := MatcherFresh|CompileSource|MatcherCached|MatchWordInterned|MatchAllCached|CacheGet|NumericStreamInterned|TableVsKore|ServerValidateE2E|ServerValidateMetrics|ServerValidateLimited|XMLTok|ParseWord|LexerStream
+BENCH_PINNED := MatcherFresh|CompileSource|MatcherCached|MatchWordInterned|MatchAllCached|CacheGet|NumericStreamInterned|TableVsKore|ServerValidateE2E|ServerValidateMetrics|ServerValidateLimited|XMLTok|ParseWord|LexerStream|ValidateWide|ValidateIDs
 BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
 GATE_UNITS ?= B/op,allocs/op
 bench-check:

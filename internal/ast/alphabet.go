@@ -102,14 +102,6 @@ func (a *Alphabet) Lookup(name string) (Symbol, bool) {
 	return id, ok
 }
 
-// LookupBytes returns the id for a name given as raw bytes (an element
-// name straight out of a document tokenizer) and whether it has been
-// interned. The string conversion in the map probe does not allocate.
-func (a *Alphabet) LookupBytes(name []byte) (Symbol, bool) {
-	id, ok := a.ids[string(name)]
-	return id, ok
-}
-
 // LookupRune returns the id of a single-rune name without allocating.
 func (a *Alphabet) LookupRune(r rune) (Symbol, bool) {
 	if r >= 0 && r < 128 {

@@ -135,6 +135,11 @@ func (d *DTD) addAttlist(src string, decl Decl) error {
 		}
 		al = &AttList{Element: decl.Name, byName: map[string]*AttDef{}}
 		d.Attlists[decl.Name] = al
+		id := d.schema.Intern(decl.Name)
+		if n := int(id) + 1; n > len(d.attlists) {
+			d.attlists = append(d.attlists, make([]*AttList, n-len(d.attlists))...)
+		}
+		d.attlists[id] = al
 	}
 	for _, def := range defs {
 		if _, dup := al.byName[def.Name]; dup {

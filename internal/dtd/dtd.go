@@ -130,6 +130,10 @@ type DTD struct {
 	// schema is the DTD as the validation driver sees it: every element
 	// in one namespace, plus the DOCTYPE, entity and ATTLIST rules.
 	schema validate.Schema
+	// attlists holds Attlists by the element name's schema id (nil when
+	// the DTD declares none, shorter than the id space when the last ids
+	// have none), so the ATTLIST hook probes no map.
+	attlists []*AttList
 }
 
 // defaultCache backs Parse: content models repeat heavily across schema
@@ -154,11 +158,13 @@ func ParseWithCache(src string, cache *dregex.Cache) (*DTD, error) {
 	d.cache = cache
 	d.schema = validate.Schema{
 		Lang:     "dtd",
-		Lookup:   d.lookup,
 		Entities: d.Entities,
 		Doctype:  d.doctype,
 		Attrs:    d.checkAttrs,
 	}
+	// Most names a DTD mentions are declared; counting the declarations
+	// sizes the name table once.
+	d.schema.Grow(strings.Count(src, "<!ELEMENT"))
 	err := scanDecls(src, func(decl Decl) error {
 		switch decl.Kind {
 		case DeclElement:
@@ -194,6 +200,15 @@ func (d *DTD) addElement(src string, decl Decl) error {
 	el.content = el.describe()
 	d.Elements[decl.Name] = el
 	d.Order = append(d.Order, decl.Name)
+	// The driver's view: one namespace, and the content's child-name
+	// table (shared static contents admit no child names of their own).
+	d.schema.Declare(decl.Name, el.content)
+	switch c := el.content; {
+	case c.Kind == validate.Children:
+		d.schema.Bind(c, nil, nil)
+	case c.Kind == validate.Mixed && c != pcdataContent:
+		d.schema.Bind(c, el.References(), nil)
+	}
 	return nil
 }
 
@@ -344,7 +359,7 @@ func (el *Element) describe() *validate.Content {
 	case el.Kind == Mixed && el.Model == pcdataContent.Model:
 		return pcdataContent
 	case el.Kind == Mixed:
-		return &validate.Content{Kind: validate.Mixed, Model: el.Model, Names: el.allowed}
+		return &validate.Content{Kind: validate.Mixed, Model: el.Model}
 	}
 	return &validate.Content{Kind: validate.Children, Model: el.Model, Plain: el.matcher}
 }
@@ -513,15 +528,6 @@ func (d *DTD) ValidateBytesReusing(doc []byte, st *DocState) ([]ValidationError,
 	return d.schema.ValidateBytesReusing(doc, st)
 }
 
-// lookup resolves an element name for the validation driver: a DTD
-// declares every element in one namespace.
-func (d *DTD) lookup(name []byte) *validate.Content {
-	if el := d.Elements[string(name)]; el != nil {
-		return el.content
-	}
-	return nil
-}
-
 // doctype is the DTD's DOCTYPE rule for the validation driver: the root
 // element must match the DOCTYPE name, and a document may declare its own
 // entities in the internal subset (common when validating against an
@@ -547,8 +553,11 @@ func isXmlnsAttr(name []byte) bool {
 // its type and #FIXED constraints, required attributes must be present,
 // ID values must be unique document-wide, and IDREF/IDREFS values
 // (including defaulted ones) are queued for document-end resolution.
-func (d *DTD) checkAttrs(st *DocState, tok *xmltok.Tokenizer, name []byte, off int, declared bool) {
-	al := d.Attlists[string(name)]
+func (d *DTD) checkAttrs(st *DocState, tok *xmltok.Tokenizer, id int32, off int, declared bool) {
+	var al *AttList
+	if uint32(id) < uint32(len(d.attlists)) {
+		al = d.attlists[id]
+	}
 	if !declared && al == nil {
 		return // element undeclared: already reported, nothing to check against
 	}
@@ -632,9 +641,10 @@ func doctypeName(directive string) (string, bool) {
 }
 
 // doctypeSplit is the single DOCTYPE-directive scan shared by the
-// validator's root check and InternalSubset: it returns the root name —
-// reduced to its local part, since the validator keys elements on
-// xml.Name.Local — and the remainder of the directive after it.
+// validator's root check and InternalSubset: it returns the root name as
+// written, prefix included — DTD names match literally, like the element
+// names the validator resolves — and the remainder of the directive after
+// it.
 func doctypeSplit(directive string) (name, rest string, ok bool) {
 	s := strings.TrimSpace(directive)
 	const kw = "DOCTYPE"
@@ -651,9 +661,6 @@ func doctypeSplit(directive string) (name, rest string, ok bool) {
 		i++
 	}
 	name = s[:i]
-	if j := strings.LastIndexByte(name, ':'); j >= 0 {
-		name = name[j+1:]
-	}
 	return name, s[i:], name != ""
 }
 

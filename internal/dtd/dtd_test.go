@@ -237,10 +237,47 @@ func TestValidateDoctypeRootMismatch(t *testing.T) {
 	if errs := validateString(t, d, `<a/>`); len(errs) != 0 {
 		t.Fatalf("document without DOCTYPE rejected: %v", errs)
 	}
-	// A prefixed DOCTYPE name compares by its local part, like every other
-	// element name in the validator.
-	if errs := validateString(t, d, `<!DOCTYPE x:a><x:a xmlns:x="u"/>`); len(errs) != 0 {
+	// DTD names match as written, prefix included: the DOCTYPE name and the
+	// element names alike.
+	q, err := Parse(`<!ELEMENT x:a EMPTY>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := validateString(t, q, `<!DOCTYPE x:a><x:a xmlns:x="u"/>`); len(errs) != 0 {
 		t.Fatalf("prefixed DOCTYPE root rejected: %v", errs)
+	}
+	errs = validateString(t, d, `<x:a xmlns:x="u"/>`)
+	if len(errs) != 1 || errs[0].Msg != "element not declared" || errs[0].Element != "x:a" {
+		t.Fatalf("errs = %v, want <x:a> not declared", errs)
+	}
+}
+
+// TestValidatePrefixedNames: DTDs know nothing of namespaces, so XML 1.0's
+// Element Valid constraint matches element type names as written — a DTD
+// that declares x:root and x:a resolves <x:root> and <x:a> by their full
+// names, in content models, declarations and ATTLISTs alike.
+func TestValidatePrefixedNames(t *testing.T) {
+	d, err := Parse(`<!ELEMENT x:root (x:a, b)><!ELEMENT x:a EMPTY><!ELEMENT b EMPTY>
+<!ATTLIST x:a x:n CDATA #REQUIRED>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := validateString(t, d, `<x:root xmlns:x="u"><x:a x:n="1"/><b/></x:root>`); len(errs) != 0 {
+		t.Fatalf("prefixed names rejected: %v", errs)
+	}
+	errs := validateString(t, d, `<x:root xmlns:x="u"><x:a/><y:b xmlns:y="u"/></x:root>`)
+	want := []string{
+		"/x:root/x:a: required attribute x:n missing",
+		"/x:root: child <y:b> violates content model (x:a, b)",
+		"/x:root/y:b: element not declared",
+	}
+	if len(errs) != len(want) {
+		t.Fatalf("errs = %v, want %d", errs, len(want))
+	}
+	for i, e := range errs {
+		if got := e.Path + ": " + e.Msg; !strings.HasPrefix(got, want[i]) {
+			t.Errorf("error %d = %q, want prefix %q", i, got, want[i])
+		}
 	}
 }
 

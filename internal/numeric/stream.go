@@ -156,20 +156,6 @@ func (s *Stream) FeedName(name string) bool {
 	return s.Feed(a)
 }
 
-// FeedBytes consumes one symbol named by raw bytes (an element name
-// straight out of a document tokenizer), interned via
-// Alphabet.LookupBytes — no string materialization per symbol.
-//
-//dregex:noalloc
-func (s *Stream) FeedBytes(name []byte) bool {
-	a, ok := run.LookupBytes(s.c.Alpha, name)
-	if !ok {
-		s.Kill()
-		return false
-	}
-	return s.Feed(a)
-}
-
 // FeedRune consumes one single-rune symbol (math notation), interned via
 // Alphabet.LookupRune — no per-rune string allocation.
 //

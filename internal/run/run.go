@@ -5,7 +5,7 @@
 // A "run" is one left-to-right pass over a word: initialize at the empty
 // prefix, consume one symbol at a time, query viability and acceptance at
 // any prefix. Before this package each engine surface re-implemented that
-// plumbing — dead/fed bookkeeping, the name/bytes/rune alphabet guards,
+// plumbing — dead/fed bookkeeping, the name/rune alphabet guards,
 // the reader drivers — once per stream type. Runner is the shared
 // contract; Core is the shared per-run bookkeeping the concrete streams
 // embed; the free functions are the drivers that work on any Runner.
@@ -36,11 +36,9 @@ type Runner interface {
 	// read so far is still viable. Symbols outside the user alphabet kill
 	// the run.
 	Feed(a ast.Symbol) bool
-	// FeedName / FeedBytes / FeedRune consume one symbol by name, by raw
-	// bytes, or as a single rune, interning through the expression's
-	// alphabet without allocating.
+	// FeedName / FeedRune consume one symbol by name or as a single rune,
+	// interning through the expression's alphabet without allocating.
 	FeedName(name string) bool
-	FeedBytes(name []byte) bool
 	FeedRune(r rune) bool
 	// Accepts reports whether the prefix consumed so far is in L(e).
 	Accepts() bool
@@ -143,18 +141,6 @@ func (c *Core) Kill() { c.dead = true }
 //dregex:noalloc
 func LookupName(alpha *ast.Alphabet, name string) (ast.Symbol, bool) {
 	a, ok := alpha.Lookup(name)
-	if !ok || a == ast.Begin || a == ast.End {
-		return ast.None, false
-	}
-	return a, true
-}
-
-// LookupBytes is LookupName for a name given as raw bytes (an element name
-// straight out of a document tokenizer) — no string materialization.
-//
-//dregex:noalloc
-func LookupBytes(alpha *ast.Alphabet, name []byte) (ast.Symbol, bool) {
-	a, ok := alpha.LookupBytes(name)
 	if !ok || a == ast.Begin || a == ast.End {
 		return ast.None, false
 	}

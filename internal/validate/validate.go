@@ -4,13 +4,27 @@
 // models, the §3.3 counter configuration for counted ones.
 //
 // Package dtd and package xsd are schema compilers. At parse time each
-// describes every element's content as a Content and hands the driver a
-// Schema; beyond that they supply only what differs between the two
-// languages: how element names resolve, the DOCTYPE rule, entities and
-// (DTDs only) attribute checks. Everything else — the xmltok loop with its
-// cancellation checkpoint, the frame stack, content dispatch, line:col
-// stamping with expected-next hints, the one-root rule, and the reusable
-// per-worker scratch — lives here once.
+// describes every element's content as a Content, declares it in a Schema
+// and binds it (Schema.Bind); beyond that they supply only what differs
+// between the two languages: the DOCTYPE rule, entities and (DTDs only)
+// attribute checks. Everything else — the xmltok loop with its
+// cancellation checkpoint, the frame stack, name resolution, content
+// dispatch, line:col stamping with expected-next hints, the one-root rule,
+// and the reusable per-worker scratch — lives here once.
+//
+// Names resolve once per start tag. Every element name a schema declares
+// or its models mention is interned at compile time into a schema-wide id
+// by one seeded, open-addressed name table over a single name arena. Each
+// content with element children gets an id-keyed table of the same shape,
+// built from its model's alphabet (and, in XSD, its declared children),
+// that maps the id to a member: the model's local symbol for Children
+// content, membership for Mixed content, the group member for All
+// content, and in XSD the child's Content too. The driver hashes a start
+// tag's name once, feeds the parent's stream the member's symbol with
+// Feed, takes the child's content from the same id, and hands the id to
+// the ATTLIST hook. Memory stays O(names + Σσ) per schema: no table is
+// indexed by names × models. The tables live in the schema, so compiled
+// expressions stay shared across schemas through the Cache.
 //
 // The per-element path allocates nothing in steady state: frames are
 // reused in place (a frame holds a numeric.Stream by value, so pushing by
@@ -22,10 +36,12 @@ package validate
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"dregex"
 	"dregex/client"
+	"dregex/internal/ast"
 	"dregex/internal/match"
 	"dregex/internal/numeric"
 	"dregex/internal/run"
@@ -47,8 +63,8 @@ const (
 	Any
 	// Simple is character data only (XSD simple content).
 	Simple
-	// Mixed is a DTD mixed model: text plus the child names in
-	// Content.Names, in any order.
+	// Mixed is a DTD mixed model: text plus the child names listed when
+	// the content was bound, in any order.
 	Mixed
 	// Children is a content model over child names, matched by
 	// Content.Plain or Content.Counter.
@@ -58,8 +74,9 @@ const (
 )
 
 // Content describes the content of one element (a DTD element
-// declaration, an XSD type). Schema compilers fill it in at parse time; it
-// is immutable afterwards and shared by every pass.
+// declaration, an XSD type). Schema compilers fill it in at parse time and
+// bind it to their schema (Schema.Bind); it is immutable afterwards and
+// shared by every pass.
 type Content struct {
 	Kind Kind
 	// Model is the content model text quoted in messages.
@@ -73,19 +90,21 @@ type Content struct {
 	// cannot be validated.
 	Plain   *dregex.Matcher
 	Counter *dregex.NumericMatcher
-	// Names lists the child names a Mixed model admits.
-	Names map[string]bool
 	// All describes an All group.
 	All *AllGroup
-	// Elements resolves the child names declared in this content when
-	// declarations are scoped to their parent (see Schema.Lookup).
-	Elements map[string]*Content
+
+	// kids maps the schema id of each child name this content admits to
+	// its member index m. Members are the model's alphabet in symbol order
+	// (Children: member m < nsym is symbol ast.FirstUser+m) or the All
+	// group's members in order, then the names given to Bind.
+	kids idTable
+	nsym int32
+	// elems[m] is member m's declared content in a scoped schema (XSD).
+	elems []*Content
 }
 
 // AllGroup is an xs:all group: each member at most once, in any order.
 type AllGroup struct {
-	// Index maps a member name to its position in Names.
-	Index map[string]int
 	Names []string
 	// Required marks the members that must appear.
 	Required []bool
@@ -99,15 +118,6 @@ type AllGroup struct {
 type Schema struct {
 	// Lang prefixes document-level errors ("dtd", "xsd").
 	Lang string
-	// Lookup, when set, resolves every element name at any depth — a
-	// DTD's single namespace: an undeclared element is reported and its
-	// subtree is still validated. Otherwise the document element resolves
-	// through Roots and every other element through its parent's
-	// Content.Elements — XSD's type-scoped declarations: a child its
-	// parent does not declare violates the parent's model, and its subtree
-	// goes unchecked.
-	Lookup func(name []byte) *Content
-	Roots  map[string]*Content
 	// Entities are the general entities references resolve against.
 	Entities map[string]string
 	// Doctype, when set, handles a DOCTYPE directive seen before the
@@ -117,9 +127,137 @@ type Schema struct {
 	Doctype func(directive string) (root string, ents map[string]string)
 	// Attrs, when set, checks the attributes of each start tag. It runs
 	// once the element's frame is open, so DocState.Reportf, ID and Ref
-	// apply to that element; declared reports whether its name resolved
-	// to a Content.
-	Attrs func(st *DocState, tok *xmltok.Tokenizer, name []byte, off int, declared bool)
+	// apply to that element; id is the element name's schema id (-1: a
+	// name the schema never mentions) and declared reports whether it
+	// resolved to a Content.
+	Attrs func(st *DocState, tok *xmltok.Tokenizer, id int32, off int, declared bool)
+
+	// names interns every element name the schema declares, its models
+	// mention, or its compiler asked for (Intern).
+	names nameTable
+	// global, set by Declare, is a DTD's single namespace: every element
+	// at any depth resolves through global[id], an undeclared element is
+	// reported and its subtree is still validated, and names match as
+	// written, prefix included (DTDs know nothing of namespaces).
+	// Otherwise (global nil) declarations are XSD's, scoped and matched by
+	// local name: the document element resolves through top's members (the
+	// global element declarations, DeclareRoots) and every other element
+	// through its parent's; a child its parent does not declare violates
+	// the parent's model, and its subtree goes unchecked.
+	global []*Content
+	top    Content
+}
+
+// Intern returns the schema id of an element name, adding it when new.
+// Compilers call it (and Declare, DeclareRoots, Bind) while building the
+// schema, never once it is shared.
+func (s *Schema) Intern(name string) int32 {
+	id, _ := s.names.intern([]byte(name))
+	return id
+}
+
+// Grow reserves room for n element names in all, when a compiler can
+// count them before interning, so building the schema does not regrow
+// its tables.
+func (s *Schema) Grow(n int) {
+	s.names.reserve(n)
+	if n > len(s.global) {
+		s.global = slices.Grow(s.global, n-len(s.global))
+	}
+}
+
+// Declare records c as the content of the element named name in a schema
+// with one namespace (a DTD).
+func (s *Schema) Declare(name string, c *Content) {
+	id := s.Intern(name)
+	if n := int(id) + 1; n > len(s.global) {
+		s.global = append(s.global, make([]*Content, n-len(s.global))...)
+	}
+	s.global[id] = c
+}
+
+// DeclareRoots records the global element declarations of a scoped schema
+// (XSD), the valid document elements: roots[i] is the content of
+// names[i].
+func (s *Schema) DeclareRoots(names []string, roots []*Content) {
+	s.Bind(&s.top, names, roots)
+}
+
+// Bind builds c's child-name table: the members are c's model alphabet in
+// symbol order (Children content with an engine) or its All group's
+// members in order, followed by names — a Mixed model's listed names, or
+// in a scoped schema the children c declares. In a scoped schema scope[i]
+// is the declared content of names[i] (scope is nil in a DTD, whose
+// children resolve through Declare). Every name is interned. Bind runs
+// once per content, after the content's own fields are set.
+func (s *Schema) Bind(c *Content, names []string, scope []*Content) {
+	alpha, base := c.alphabet(), 0
+	switch {
+	case alpha != nil:
+		base = alpha.UserSize()
+		c.nsym = int32(base)
+	case c.All != nil:
+		base = len(c.All.Names)
+	}
+	c.kids.init(base + len(names))
+	for m := 0; m < base; m++ {
+		var name string
+		if alpha != nil {
+			name = alpha.Name(ast.FirstUser + ast.Symbol(m))
+		} else {
+			name = c.All.Names[m]
+		}
+		c.kids.put(s.Intern(name), int32(m))
+	}
+	if scope != nil {
+		c.elems = make([]*Content, base, base+len(names))
+	}
+	n := int32(base)
+	for i, name := range names {
+		m := c.kids.put(s.Intern(name), n)
+		if m == n {
+			n++
+			if scope != nil {
+				c.elems = append(c.elems, nil)
+			}
+		}
+		if scope != nil {
+			c.elems[m] = scope[i]
+		}
+	}
+}
+
+// alphabet returns the symbol alphabet of c's engine (nil without one).
+func (c *Content) alphabet() *ast.Alphabet {
+	switch {
+	case c.Kind != Children:
+	case c.Plain != nil:
+		var s match.Stream
+		if c.Plain.InitStream(&s) {
+			return s.Alphabet()
+		}
+	case c.Counter != nil:
+		var s numeric.Stream
+		c.Counter.InitStream(&s)
+		return s.Alphabet()
+	}
+	return nil
+}
+
+// resolve returns the content of the element with schema id id, member m
+// of its parent's content p (nil: the document element or an undeclared
+// parent). It returns nil for an undeclared element.
+func (s *Schema) resolve(p *Content, m, id int32) *Content {
+	if s.global != nil {
+		if uint32(id) < uint32(len(s.global)) {
+			return s.global[id]
+		}
+		return nil
+	}
+	if p == nil || m < 0 || int(m) >= len(p.elems) {
+		return nil
+	}
+	return p.elems[m]
 }
 
 // frame is the per-open-element state of a pass. The name aliases the
@@ -177,7 +315,7 @@ type DocState struct {
 	errs []ValidationError
 	// ids collects the document's ID attribute values; refs/refArena the
 	// IDREF occurrences to resolve once the document has been read.
-	ids      map[string]struct{}
+	ids      nameTable
 	refs     []pendingRef
 	refArena []byte
 	// symbols and docBytes meter the last validation for observability.
@@ -221,16 +359,13 @@ func (st *DocState) Reportf(off int, format string, args ...any) {
 }
 
 // ID records an ID attribute value; it reports false when the document
-// already used it.
+// already used it. Values are copied into an arena and indexed by a table
+// seeded per DocState, so a warm DocState records IDs without allocating.
+//
+//dregex:noalloc
 func (st *DocState) ID(id []byte) bool {
-	if _, dup := st.ids[string(id)]; dup {
-		return false
-	}
-	if st.ids == nil {
-		st.ids = map[string]struct{}{}
-	}
-	st.ids[string(id)] = struct{}{}
-	return true
+	_, added := st.ids.intern(id)
+	return added
 }
 
 // Ref queues an IDREF value of the innermost open element, from the
@@ -304,7 +439,7 @@ func (st *DocState) release() {
 	st.tok.Reset(nil)
 	clear(st.refs)
 	st.refs, st.refArena = st.refs[:0], st.refArena[:0]
-	clear(st.ids)
+	st.ids.reset()
 }
 
 // ValidateReusing reads a document from r and validates it: every element
@@ -367,7 +502,13 @@ func (s *Schema) pass(data []byte, st *DocState) error {
 				}
 			}
 		case xmltok.StartElement:
-			name := tok.Local()
+			var name []byte
+			if s.global != nil {
+				name = tok.Name()
+			} else {
+				name = tok.Local()
+			}
+			id := s.names.lookup(name)
 			off := tok.Offset()
 			var c *Content
 			if len(st.stack) == 0 {
@@ -383,29 +524,24 @@ func (s *Schema) pass(data []byte, st *DocState) error {
 					continue
 				}
 				sawRoot = true
-				if s.Lookup != nil {
-					c = s.Lookup(name)
-				} else {
-					c = s.Roots[string(name)]
-				}
+				c = s.resolve(&s.top, s.top.kids.get(id), id)
 			} else {
 				p := &st.stack[len(st.stack)-1]
-				if p.c != nil && !p.failed {
-					st.feed(p, name, off)
+				m := int32(-1)
+				if p.c != nil {
+					m = p.c.kids.get(id)
+					if !p.failed {
+						st.feed(p, m, name, off)
+					}
 				}
-				switch {
-				case s.Lookup != nil:
-					c = s.Lookup(name)
-				case p.c != nil:
-					c = p.c.Elements[string(name)]
-				}
+				c = s.resolve(p.c, m, id)
 			}
 			f := st.push(c, name)
 			if doctype != "" && len(st.stack) == 1 && string(name) != doctype {
 				st.Reportf(off, "root element <%s> does not match DOCTYPE %s", name, doctype)
 			}
 			switch {
-			case c == nil && s.Lookup != nil:
+			case c == nil && s.global != nil:
 				st.Reportf(off, "element not declared")
 			case c == nil && len(st.stack) == 1:
 				st.Reportf(off, "root element is not declared in the schema")
@@ -430,7 +566,7 @@ func (s *Schema) pass(data []byte, st *DocState) error {
 				f.any = false
 			}
 			if s.Attrs != nil {
-				s.Attrs(st, tok, name, off, c != nil)
+				s.Attrs(st, tok, id, off, c != nil)
 			}
 		case xmltok.EndElement:
 			if len(st.stack) == 0 {
@@ -463,7 +599,7 @@ func (s *Schema) pass(data []byte, st *DocState) error {
 	// IDs can be declared after the IDREFs pointing at them, so resolution
 	// waits until the whole document has been read.
 	for _, ref := range st.refs {
-		if _, ok := st.ids[string(st.refArena[ref.lo:ref.hi])]; !ok {
+		if st.ids.lookup(st.refArena[ref.lo:ref.hi]) < 0 {
 			st.errorAt("/"+string(ref.elem), ref.elem, ref.off,
 				fmt.Sprintf("IDREF %q matches no ID in the document", st.refArena[ref.lo:ref.hi]))
 		}
@@ -471,8 +607,9 @@ func (s *Schema) pass(data []byte, st *DocState) error {
 	return nil
 }
 
-// feed records child name in the content of the open frame p.
-func (st *DocState) feed(p *frame, name []byte, off int) {
+// feed records child name, member m of the open frame p's content (-1:
+// not admitted), in that content.
+func (st *DocState) feed(p *frame, m int32, name []byte, off int) {
 	c := p.c
 	switch c.Kind {
 	case Empty:
@@ -480,30 +617,33 @@ func (st *DocState) feed(p *frame, name []byte, off int) {
 	case Simple:
 		st.fail(p, off, "child <%s> not allowed: simple content", name)
 	case Mixed:
-		if !c.Names[string(name)] {
+		if m < 0 {
 			st.fail(p, off, "child <%s> not allowed in mixed model %s", name, c.Model)
 		}
 	case Children:
 		st.symbols++
+		a := ast.None // not in the model's alphabet: the run dies
+		if uint32(m) < uint32(c.nsym) {
+			a = ast.FirstUser + ast.Symbol(m)
+		}
 		var ok bool
 		if c.Counter != nil {
-			ok = p.ctrs.FeedBytes(name)
+			ok = p.ctrs.Feed(a)
 		} else {
-			ok = p.plain.FeedBytes(name)
+			ok = p.plain.Feed(a)
 		}
 		if !ok {
 			ve := st.fail(p, off, "child <%s> violates content model %s", name, c.Model)
 			ve.Expected = run.ExpectedNames(p.runner(), nil)
 		}
 	case All:
-		i, ok := c.All.Index[string(name)]
 		switch {
-		case !ok:
+		case uint32(m) >= uint32(len(c.All.Names)):
 			st.fail(p, off, "child <%s> not allowed in %s", name, c.Model)
-		case p.seen[i]:
+		case p.seen[m]:
 			st.fail(p, off, "child <%s> repeated in %s", name, c.Model)
 		default:
-			p.seen[i] = true
+			p.seen[m] = true
 			p.any = true
 		}
 	}

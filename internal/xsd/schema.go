@@ -30,6 +30,7 @@ package xsd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -223,11 +224,7 @@ func ParseWithCache(data []byte, cache *dregex.Cache) (*Schema, error) {
 // declarations in its scope (resolved only now — a referenced global
 // element's type may be filled after the content model using it).
 func (s *Schema) describe() {
-	s.schema = validate.Schema{
-		Lang:    "xsd",
-		Roots:   make(map[string]*validate.Content, len(s.Roots)),
-		Doctype: doctype,
-	}
+	s.schema = validate.Schema{Lang: "xsd", Doctype: doctype}
 	seen := map[*Type]bool{}
 	var visit func(t *Type)
 	visit = func(t *Type) {
@@ -238,18 +235,22 @@ func (s *Schema) describe() {
 		c := &t.content
 		c.Kind, c.Model, c.Text = driverKind[t.Kind], t.Model, t.Mixed
 		c.Plain, c.Counter = t.matcher, t.nmatcher
-		if len(t.children) > 0 {
-			c.Elements = make(map[string]*validate.Content, len(t.children))
-			for name, decl := range t.children {
-				c.Elements[name] = &decl.Type.content
-				visit(decl.Type)
-			}
+		var scope []*validate.Content
+		for _, name := range t.childOrder {
+			scope = append(scope, &t.children[name].Type.content)
+		}
+		s.schema.Bind(c, t.childOrder, scope)
+		for _, name := range t.childOrder {
+			visit(t.children[name].Type)
 		}
 	}
-	for name, decl := range s.Roots {
-		s.schema.Roots[name] = &decl.Type.content
-		visit(decl.Type)
+	roots := make([]*validate.Content, len(s.RootOrder))
+	for i, name := range s.RootOrder {
+		t := s.Roots[name].Type
+		roots[i] = &t.content
+		visit(t)
 	}
+	s.schema.DeclareRoots(s.RootOrder, roots)
 }
 
 // driverKind maps content kinds to the validation driver's.
@@ -472,9 +473,10 @@ func (r *resolver) fillAll(t *Type, p *rawParticle) error {
 	if p.max != 1 || p.min > 1 {
 		return errAt(p.line, "type %s: xs:all must have minOccurs 0 or 1 and maxOccurs 1", t.Name)
 	}
-	all := &validate.AllGroup{Index: map[string]int{}, Optional: p.min == 0}
+	all := &validate.AllGroup{Optional: p.min == 0}
 	t.content.All = all
 	r.allTypes = append(r.allTypes, t)
+	member := map[string]bool{}
 	for _, item := range p.items {
 		if item.kind != "element" {
 			return errAt(item.line, "type %s: xs:all may contain only element declarations", t.Name)
@@ -489,10 +491,10 @@ func (r *resolver) fillAll(t *Type, p *rawParticle) error {
 		if err != nil {
 			return err
 		}
-		if _, dup := all.Index[decl.Name]; dup {
+		if member[decl.Name] {
 			return errAt(item.line, "type %s: element %q appears twice in xs:all", t.Name, decl.Name)
 		}
-		all.Index[decl.Name] = len(all.Names)
+		member[decl.Name] = true
 		all.Names = append(all.Names, decl.Name)
 		all.Required = append(all.Required, item.min > 0)
 	}
@@ -666,8 +668,8 @@ func (t *Type) MatchChildren(names []string) bool {
 		all := t.content.All
 		seen := make([]bool, len(all.Names))
 		for _, n := range names {
-			i, ok := all.Index[n]
-			if !ok || seen[i] {
+			i := slices.Index(all.Names, n)
+			if i < 0 || seen[i] {
 				return false
 			}
 			seen[i] = true
