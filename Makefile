@@ -3,7 +3,7 @@ BENCH_PATTERN ?= .
 BENCH_TIME ?= 1s
 DATE := $(shell date +%Y%m%d)
 
-.PHONY: all build test bench bench-snapshot bench-check lint vet fmt drevet fuzz-smoke serve smoke-server chaos-smoke
+.PHONY: all build test bench bench-snapshot bench-check lint vet fmt drevet no-encoding-xml fuzz-smoke serve smoke-server chaos-smoke
 
 all: build
 
@@ -93,7 +93,7 @@ bench-check:
 		$(if $(GATE_UNITS),-gate-units '$(GATE_UNITS)') \
 		$(BENCH_BASELINE) /tmp/BENCH_ci.json
 
-lint: fmt vet drevet
+lint: fmt vet drevet no-encoding-xml
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -108,3 +108,14 @@ vet:
 drevet:
 	$(GO) build -o bin/drevet ./cmd/drevet
 	$(GO) vet -vettool=$(CURDIR)/bin/drevet ./...
+
+# no-encoding-xml fails when a non-test package — the library, its
+# internal packages, the cmds or the examples — links encoding/xml: every
+# byte of XML is read by internal/xmltok, and encoding/xml stays only as
+# the oracle of tests (FuzzXMLTok, FuzzValidateDoc).
+no-encoding-xml:
+	@if $(GO) list -deps ./... | grep -qx 'encoding/xml'; then \
+		echo "encoding/xml is linked outside tests:"; \
+		$(GO) list -f '{{.ImportPath}}{{range .Imports}}{{if eq . "encoding/xml"}} imports encoding/xml{{end}}{{end}}' ./... | grep 'imports encoding/xml'; \
+		exit 1; \
+	fi

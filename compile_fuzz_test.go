@@ -20,7 +20,9 @@ import (
 // Compile and CompileNumeric must agree with it on success or failure, on
 // every Tree array and on Stats (from ast.MaxOccurrence, AlternationDepth
 // and HasStar). Up to 40 positions, the linear verdict must match the
-// Brüggemann-Klein baseline, which does not use the skeleta.
+// Brüggemann-Klein baseline, which does not use the skeleta. Every
+// deterministic expression must build its Matcher(Auto) engine: the
+// schema front ends rely on it.
 func FuzzCompile(f *testing.F) {
 	f.Add("(ab+b(b?)a)*", false)
 	f.Add("(title, author+, (section | appendix)*)", true)
@@ -102,6 +104,11 @@ func checkCompile(t *testing.T, src string, syntax Syntax) {
 	}
 	if e.Stats() != want {
 		t.Fatalf("%q: Stats %+v, reference %+v", src, e.Stats(), want)
+	}
+	if e.IsDeterministic() {
+		if _, err := e.Matcher(Auto); err != nil {
+			t.Fatalf("%q: Matcher(Auto) on a deterministic expression: %v", src, err)
+		}
 	}
 	if want.Positions <= 40 {
 		if bk := glushkov.CheckBK(e.tree) == nil; bk != e.IsDeterministic() {

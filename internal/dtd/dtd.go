@@ -218,8 +218,8 @@ func (d *DTD) addElement(src string, decl Decl) error {
 // literal define replacement text a validator can substitute. Per the XML
 // spec, the first declaration of a name is binding.
 //
-// Values containing markup ('<') are also skipped: encoding/xml inserts
-// Entity replacement text verbatim as character data without re-parsing
+// Values containing markup ('<') are also skipped: xmltok inserts
+// entity replacement text verbatim as character data without re-parsing
 // it, so substituting "<b>x</b>" would mutate the element structure into
 // a wrong validation verdict. Skipped entities fall back to the previous
 // behavior — a reference to one is a diagnosable malformed-XML error —
@@ -260,8 +260,8 @@ func entitiesSubsumed(ents, base map[string]string) bool {
 }
 
 // EntitiesFromDoctype extracts internal general-entity declarations from a
-// DOCTYPE directive (the text between "<!" and ">", as encoding/xml
-// delivers it). It is best-effort — a malformed subset yields whatever was
+// DOCTYPE directive (the text between "<!" and ">", as xmltok delivers
+// it). It is best-effort — a malformed subset yields whatever was
 // declared before the damage — and returns nil when the directive carries
 // no internal subset or declares no usable entities. Both validators (DTD
 // and XSD) use it so documents may reference entities declared in their
@@ -413,19 +413,14 @@ func compileChildren(el *Element, model string, cache *dregex.Cache) (*Element, 
 	el.Deterministic = cm.IsDeterministic()
 	el.Rule = cm.Rule()
 	if el.Deterministic {
-		// Content models are shallow, so Auto resolves to the cheap
-		// engines the paper recommends for them (k ≤ 2 → k-ORE, small
-		// c_e → path decomposition). The matcher is shared: every
-		// element — in any DTD compiled through the same cache — with
-		// this model reuses one simulator.
+		// Content models are small, so Auto resolves almost always to the
+		// dense table, and past its budget to a §4 engine; on a
+		// deterministic model it cannot fail. The matcher is shared:
+		// every element — in any DTD compiled through the same cache —
+		// with this model reuses one simulator.
 		m, err := cm.Matcher(dregex.Auto)
 		if err != nil {
-			// k-ORE construction cannot fail on a deterministic model;
-			// keep validating even if the preferred engine cannot build.
-			m, err = cm.Matcher(dregex.KORE)
-			if err != nil {
-				return nil, fmt.Errorf("dtd: element %s: %w", el.Name, err)
-			}
+			return nil, fmt.Errorf("dtd: element %s: %w", el.Name, err)
 		}
 		el.matcher = m
 	}
@@ -634,7 +629,7 @@ func (d *DTD) checkAttrs(st *DocState, tok *xmltok.Tokenizer, id int32, off int,
 }
 
 // doctypeName extracts the root element name from a "DOCTYPE …" directive
-// (the text between "<!" and ">", as encoding/xml delivers it).
+// (the text between "<!" and ">", as xmltok delivers it).
 func doctypeName(directive string) (string, bool) {
 	name, _, ok := doctypeSplit(directive)
 	return name, ok
@@ -694,8 +689,8 @@ func InternalSubset(doc []byte) (root, subset string, err error) {
 
 // splitDoctype splits a DOCTYPE directive into root name and internal
 // subset. The bracket scan is quote-aware, so a ']' inside an entity value
-// or system literal cannot end the subset early. (encoding/xml already
-// strips comments and handles quoted '>' when it delimits the directive.)
+// or system literal cannot end the subset early. (xmltok already strips
+// comments and handles quoted '>' when it delimits the directive.)
 func splitDoctype(directive string) (root, subset string, err error) {
 	root, rest, ok := doctypeSplit(directive)
 	if !ok {

@@ -8,7 +8,6 @@
 package dtd
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 )
@@ -91,14 +90,6 @@ const bom = "\uFEFF"
 // bytes early in their copy.
 func StripBOM(src string) string {
 	return strings.TrimPrefix(src, bom)
-}
-
-// StripBOMBytes is StripBOM for byte slices (documents and schema files
-// read from disk or a request body); it is the one place the BOM policy
-// lives for every byte-level prolog consumer (InternalSubset, the XSD
-// schema decoder).
-func StripBOMBytes(b []byte) []byte {
-	return bytes.TrimPrefix(b, []byte(bom))
 }
 
 // scanDecls is the streaming core of ScanDecls: emit is called once per

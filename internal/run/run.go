@@ -159,39 +159,6 @@ func LookupRune(alpha *ast.Alphabet, r rune) (ast.Symbol, bool) {
 	return a, true
 }
 
-// Word drives a whole interned word through r and reports acceptance.
-//
-//dregex:noalloc
-func Word(r Runner, word []ast.Symbol) bool {
-	for _, a := range word {
-		if !r.Feed(a) {
-			return false
-		}
-	}
-	return r.Accepts()
-}
-
-// Names drives a word of symbol names through r.
-func Names(r Runner, names []string) bool {
-	for _, n := range names {
-		if !r.FeedName(n) {
-			return false
-		}
-	}
-	return r.Accepts()
-}
-
-// Chars drives a math-notation word (one rune per symbol) through r
-// without allocating per rune.
-func Chars(r Runner, w string) bool {
-	for _, ch := range w {
-		if !r.FeedRune(ch) {
-			return false
-		}
-	}
-	return r.Accepts()
-}
-
 // ExpectedNames renders ExpectedNext as symbol names, appending into dst —
 // the diagnostics form validators and parse errors report ("expected
 // <qty>"). It allocates (names, and a small symbol scratch); it is meant

@@ -19,6 +19,7 @@ import (
 	"dregex/internal/pool"
 	"dregex/internal/run"
 	"dregex/internal/validate"
+	"dregex/internal/xmltok"
 	"dregex/internal/xsd"
 )
 
@@ -103,64 +104,33 @@ func (s *Server) lookupSchema(name string) *schemaEntry {
 	return (*s.schemas.Load())[name]
 }
 
-// sniffKind guesses dtd vs xsd from schema source: markup declarations
-// mean a DTD, an <xs:schema> (or unprefixed <schema>) root means a schema
-// document. Comments are stripped first — either format may quote the
-// other's markup in one. After that, DTD wins ties because a DTD can
-// still quote schema markup inside entity values, while a schema document
-// cannot contain a bare "<!ELEMENT". Registration happens off the hot
-// path, so the copy is fine.
+// sniffKind guesses dtd vs xsd from schema source, reading it as XML up to
+// the first token that decides. A markup declaration other than a DOCTYPE
+// (<!ELEMENT, <!ENTITY, …) means a DTD; a first start tag named schema,
+// with any prefix, means a schema document. Comments, processing
+// instructions, text and a DOCTYPE are read past, so either kind may quote
+// the other's markup in a comment, and a schema document's internal subset
+// may declare elements. Anything else — another first element, no element,
+// or text that is not well-formed XML, as most DTDs are not — means a DTD.
 func sniffKind(src []byte) string {
-	src = stripComments(src)
-	if bytes.Contains(src, []byte("<!ELEMENT")) {
-		return client.KindDTD
-	}
-	if bytes.Contains(src, []byte("<schema")) {
-		return client.KindXSD
-	}
-	// Any "<prefix:schema" start tag — xs:, xsd:, or a nonstandard prefix.
-	for rest := src; ; {
-		i := bytes.Index(rest, []byte(":schema"))
-		if i < 0 {
-			break
-		}
-		j := i - 1
-		for j >= 0 && isNameByte(rest[j]) {
-			j--
-		}
-		if j >= 0 && rest[j] == '<' && j < i-1 {
-			return client.KindXSD
-		}
-		rest = rest[i+1:]
-	}
-	return client.KindDTD
-}
-
-// isNameByte reports whether b can appear in an (ASCII) XML name prefix.
-func isNameByte(b byte) bool {
-	return b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' ||
-		b >= '0' && b <= '9' || b == '_' || b == '-' || b == '.'
-}
-
-// stripComments removes XML comments ("<!--" … "-->"); an unterminated
-// comment truncates the rest, as an XML parser would refuse it anyway.
-func stripComments(src []byte) []byte {
-	i := bytes.Index(src, []byte("<!--"))
-	if i < 0 {
-		return src
-	}
-	out := append([]byte(nil), src[:i]...)
+	var tok xmltok.Tokenizer
+	tok.Reset(src)
 	for {
-		end := bytes.Index(src[i+4:], []byte("-->"))
-		if end < 0 {
-			return out
+		k, err := tok.Next()
+		if err != nil {
+			return client.KindDTD
 		}
-		src = src[i+4+end+3:]
-		i = bytes.Index(src, []byte("<!--"))
-		if i < 0 {
-			return append(out, src...)
+		switch k {
+		case xmltok.Directive:
+			if !bytes.HasPrefix(tok.Text(), []byte("DOCTYPE")) {
+				return client.KindDTD
+			}
+		case xmltok.StartElement:
+			if string(tok.Local()) == "schema" {
+				return client.KindXSD
+			}
+			return client.KindDTD
 		}
-		out = append(out, src[:i]...)
 	}
 }
 

@@ -513,6 +513,12 @@ func TestSniffKind(t *testing.T) {
 	if k := sniffKind([]byte(odd)); k != client.KindXSD {
 		t.Errorf("nonstandard-prefix XSD sniffed as %s", k)
 	}
+	// An XSD whose DOCTYPE internal subset declares elements is still an
+	// XSD: the DOCTYPE is read past, the schema root decides.
+	doctyped := strings.Replace(testXSD, "?>\n", "?>\n<!DOCTYPE xs:schema [<!ELEMENT xs:schema ANY>]>\n", 1)
+	if k := sniffKind([]byte(doctyped)); k != client.KindXSD {
+		t.Errorf("XSD with a DOCTYPE internal subset sniffed as %s", k)
+	}
 }
 
 func TestQueryParam(t *testing.T) {

@@ -105,7 +105,8 @@ func TestValidateIDsAllocs(t *testing.T) {
 
 // TestValidateIDVerdicts: duplicate IDs and dangling IDREFs are reported
 // with the same messages across reuses of one DocState — the ID table is
-// reset between documents, not carried over.
+// reset between documents, not carried over — and at the referencing
+// element's full path, like every other violation.
 func TestValidateIDVerdicts(t *testing.T) {
 	d := mustDTD(t, idDTD)
 	var st dtd.DocState
@@ -127,6 +128,9 @@ func TestValidateIDVerdicts(t *testing.T) {
 		for i, e := range errs {
 			if e.Msg != want[i] {
 				t.Errorf("round %d, error %d = %q, want %q", round, i, e.Msg, want[i])
+			}
+			if e.Path != "/doc/item" || e.Element != "item" {
+				t.Errorf("round %d, error %d at %s <%s>, want /doc/item <item>", round, i, e.Path, e.Element)
 			}
 		}
 	}

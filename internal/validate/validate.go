@@ -34,6 +34,7 @@
 package validate
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -270,6 +271,9 @@ type frame struct {
 	seen   []bool         // All: member presence
 	any    bool           // All: some member seen
 	failed bool           // a violation was reported; stop checking
+	// path is the element's open-element path in DocState.refArena,
+	// copied there by its first IDREF (hi == 0: not yet).
+	path span
 }
 
 // runner is the frame's run as a run.Runner, for diagnostics only: the
@@ -283,14 +287,16 @@ func (f *frame) runner() run.Runner {
 
 // pendingRef is one IDREF occurrence awaiting document-end resolution
 // (IDs may be declared after the references pointing at them). The value
-// lives in DocState.refArena — attribute values can sit in tokenizer
-// scratch that the next token invalidates — and elem aliases the document
-// buffer.
+// and the referencing element's path live in DocState.refArena: attribute
+// values can sit in tokenizer scratch that the next token invalidates, and
+// the element is closed by the time the reference resolves.
 type pendingRef struct {
-	lo, hi int // value span in refArena
-	off    int // byte offset of the referencing attribute
-	elem   []byte
+	val, path span
+	off       int // byte offset of the referencing attribute
 }
+
+// span is a [lo,hi) byte range of DocState.refArena.
+type span struct{ lo, hi int }
 
 // maxKeepBuf caps the document buffer a reused DocState retains between
 // documents, so one huge outlier does not pin its memory forever.
@@ -370,17 +376,27 @@ func (st *DocState) ID(id []byte) bool {
 
 // Ref queues an IDREF value of the innermost open element, from the
 // attribute at byte offset off, for resolution at document end.
-func (st *DocState) Ref(val []byte, off int) {
-	lo := len(st.refArena)
-	st.refArena = append(st.refArena, val...)
-	st.refs = append(st.refs, pendingRef{lo, len(st.refArena), off, st.stack[len(st.stack)-1].name})
-}
+func (st *DocState) Ref(val []byte, off int) { queueRef(st, val, off) }
 
 // RefString is Ref for a value the schema supplies (a defaulted IDREF).
-func (st *DocState) RefString(val string, off int) {
+func (st *DocState) RefString(val string, off int) { queueRef(st, val, off) }
+
+// queueRef copies val, and on the element's first reference its path, into
+// the reference arena: a warm DocState queues references without
+// allocating.
+func queueRef[S []byte | string](st *DocState, val S, off int) {
+	f := &st.stack[len(st.stack)-1]
+	if f.path.hi == 0 {
+		f.path.lo = len(st.refArena)
+		for i := range st.stack {
+			st.refArena = append(st.refArena, '/')
+			st.refArena = append(st.refArena, st.stack[i].name...)
+		}
+		f.path.hi = len(st.refArena)
+	}
 	lo := len(st.refArena)
 	st.refArena = append(st.refArena, val...)
-	st.refs = append(st.refs, pendingRef{lo, len(st.refArena), off, st.stack[len(st.stack)-1].name})
+	st.refs = append(st.refs, pendingRef{span{lo, len(st.refArena)}, f.path, off})
 }
 
 // errorAt records a violation with the document position of offset off.
@@ -421,7 +437,7 @@ func (st *DocState) push(c *Content, name []byte) *frame {
 	f := &st.stack[len(st.stack)-1]
 	// name is a Name() span into the stable document buffer (never
 	// tokenizer scratch); release clears it before the next document.
-	f.c, f.name, f.failed = c, name, false
+	f.c, f.name, f.failed, f.path = c, name, false, span{}
 	return f
 }
 
@@ -599,9 +615,12 @@ func (s *Schema) pass(data []byte, st *DocState) error {
 	// IDs can be declared after the IDREFs pointing at them, so resolution
 	// waits until the whole document has been read.
 	for _, ref := range st.refs {
-		if st.ids.lookup(st.refArena[ref.lo:ref.hi]) < 0 {
-			st.errorAt("/"+string(ref.elem), ref.elem, ref.off,
-				fmt.Sprintf("IDREF %q matches no ID in the document", st.refArena[ref.lo:ref.hi]))
+		val := st.refArena[ref.val.lo:ref.val.hi]
+		if st.ids.lookup(val) < 0 {
+			path := st.refArena[ref.path.lo:ref.path.hi]
+			elem := path[bytes.LastIndexByte(path, '/')+1:]
+			st.errorAt(string(path), elem, ref.off,
+				fmt.Sprintf("IDREF %q matches no ID in the document", val))
 		}
 	}
 	return nil

@@ -100,6 +100,7 @@ func FuzzXMLTok(f *testing.F) {
 		"<a/>",
 		"<a x='1' y=\"2\">t</a>",
 		"<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<a><b/>x</a>",
+		"<?xml version=\"1.0\" encoding=\"Utf-8\"?><a/>",
 		"<!DOCTYPE a [<!ENTITY e \"v\"><!--c-->]><a>&e;&lt;&#65;</a>",
 		"<a><![CDATA[x]]y]]></a>",
 		"<p:a xmlns:p='u'><p:b/></p:a>",

@@ -128,8 +128,11 @@ type Tokenizer struct {
 	pending bool // synthetic EndElement of a self-closing tag is due
 	err     error
 
-	// memoized forward position cursor for Position
+	// memoized forward position cursor for Position: the line scan
+	// reached posOff; colOff (a rune start on or before it) is colRunes
+	// runes into its line
 	posOff, posLine, lineStart int
+	colOff, colRunes           int
 }
 
 // Reset binds the tokenizer to a new document, stripping a leading BOM.
@@ -153,6 +156,7 @@ func (t *Tokenizer) Reset(data []byte) {
 	t.pending = false
 	t.err = nil
 	t.posOff, t.posLine, t.lineStart = 0, 1, 0
+	t.colOff, t.colRunes = 0, 0
 }
 
 // SetEntities installs the internal general entities resolvable in this
@@ -248,8 +252,9 @@ func localOf(name []byte) []byte {
 }
 
 // Position converts a byte offset to a 1-based line and rune column. The
-// cursor is memoized forward, so calls with nondecreasing offsets (the
-// common error-reporting order) never rescan the document.
+// cursor is memoized forward, columns included, so calls with
+// nondecreasing offsets (the order tokens and errors are reported in)
+// scan the document once in total, however long its lines are.
 func (t *Tokenizer) Position(off int) (line, col int) {
 	if off > len(t.data) {
 		off = len(t.data)
@@ -267,7 +272,18 @@ func (t *Tokenizer) Position(off int) (line, col int) {
 		}
 	}
 	t.posOff = off
-	return t.posLine, 1 + utf8.RuneCount(t.data[t.lineStart:off])
+	// Resume the rune count at the column cursor when it is on this line.
+	// It only rests on rune starts, which no multi-byte sequence spans, so
+	// counts split there add up to the count from the line start.
+	from, n := t.lineStart, 0
+	if t.lineStart <= t.colOff && t.colOff <= off {
+		from, n = t.colOff, t.colRunes
+	}
+	n += utf8.RuneCount(t.data[from:off])
+	if off == len(t.data) || utf8.RuneStart(t.data[off]) {
+		t.colOff, t.colRunes = off, n
+	}
+	return t.posLine, 1 + n
 }
 
 //dregex:coldalloc
@@ -506,7 +522,7 @@ func (t *Tokenizer) scanProcInst() (Kind, error) {
 			return 0, t.syntaxErr(t.tokOff, "unsupported version %q; only version 1.0 is supported", ver)
 		}
 		if enc := procInstParam(content, "encoding"); len(enc) > 0 &&
-			string(enc) != "utf-8" && string(enc) != "UTF-8" {
+			!bytes.EqualFold(enc, []byte("utf-8")) {
 			return 0, t.syntaxErr(t.tokOff, "unsupported encoding %q; only UTF-8 is supported", enc)
 		}
 	}

@@ -1,9 +1,12 @@
 package xmltok
 
 import (
+	"bytes"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // walk collects (kind, name, text) triples until EOF or error.
@@ -210,6 +213,34 @@ func TestPositionMemoBackward(t *testing.T) {
 	}
 	if l, c := tok.Position(2); l != 2 || c != 1 {
 		t.Errorf("backward Position(2) = %d:%d, want 2:1", l, c)
+	}
+}
+
+// TestPositionColumnMemo: memoized columns agree with a count from the
+// line start for every offset, in increasing and in arbitrary order, over
+// multi-byte text, stray continuation bytes and truncated sequences.
+func TestPositionColumnMemo(t *testing.T) {
+	doc := []byte("ab\xc3\xa9\xe2\x82\xac\n\x80\xbf x\xe2\x82\n\xf0\x9f\x98\x80\xe2y\n\nz\xc3")
+	naive := func(off int) (int, int) {
+		ls := bytes.LastIndexByte(doc[:off], '\n') + 1
+		return 1 + bytes.Count(doc[:off], []byte("\n")), 1 + utf8.RuneCount(doc[ls:off])
+	}
+	var tok Tokenizer
+	check := func(off int) {
+		t.Helper()
+		wl, wc := naive(off)
+		if l, c := tok.Position(off); l != wl || c != wc {
+			t.Fatalf("Position(%d) = %d:%d, want %d:%d", off, l, c, wl, wc)
+		}
+	}
+	tok.Reset(doc)
+	for off := 0; off <= len(doc); off++ {
+		check(off)
+	}
+	tok.Reset(doc)
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		check(r.Intn(len(doc) + 1))
 	}
 }
 

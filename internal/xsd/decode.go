@@ -1,21 +1,22 @@
 // Raw schema-document decoding. This file turns an XML Schema document
-// into a particle tree (rawSchema / rawType / rawParticle) with
-// encoding/xml's token stream, preserving child order inside sequence and
-// choice groups — the property struct-tag unmarshalling cannot give us.
-// Interpretation (group expansion, type resolution, content-model
-// lowering, compilation) happens in schema.go and lower.go.
+// into a particle tree (rawSchema / rawType / rawParticle) by recursive
+// descent over xmltok's token stream, preserving child order inside
+// sequence and choice groups. Schema elements match by local name, whatever
+// their prefix (the namespace it binds is not checked); attributes match by
+// their exact, unprefixed name. Interpretation (group expansion, type
+// resolution, content-model lowering, compilation) happens in schema.go
+// and lower.go.
 package xsd
 
 import (
-	"bytes"
-	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 
 	"dregex/internal/ast"
-	"dregex/internal/dtd"
+	"dregex/internal/xmltok"
 )
 
 // rawParticle is one node of a content-model particle tree, or a top-level
@@ -67,56 +68,44 @@ func errAt(line int, format string, args ...interface{}) error {
 	return &schemaError{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// decoder wraps xml.Decoder with line tracking.
+// decoder reads a schema document with the tokenizer the validators use,
+// so schema documents, instance documents and DOCTYPE subsets share one
+// set of rules for well-formedness, byte-order marks and positions. Each
+// decoding step runs with the tokenizer on the start tag it is about to
+// read: attributes are read before the first child is.
 type decoder struct {
-	d    *xml.Decoder
-	data []byte
-	// Incremental newline counter: InputOffset is monotonic, so each
-	// line() call only scans the bytes consumed since the previous call
-	// (keeping Parse linear in the document size however many particles
-	// record their line).
-	lastOff  int
-	lastLine int
+	t xmltok.Tokenizer
 }
 
+// line is the input line of the current token: where a start tag opens.
 func (d *decoder) line() int {
-	off := int(d.d.InputOffset())
-	if off > len(d.data) {
-		off = len(d.data)
-	}
-	if off < d.lastOff { // defensive; InputOffset never goes backwards
-		d.lastOff, d.lastLine = 0, 0
-	}
-	d.lastLine += bytes.Count(d.data[d.lastOff:off], []byte("\n"))
-	d.lastOff = off
-	return 1 + d.lastLine
+	line, _ := d.t.Position(d.t.Offset())
+	return line
 }
 
-// decode parses a schema document into its raw particle form. A leading
-// UTF-8 byte-order mark is stripped so line counting (and any byte-level
-// prolog inspection) starts at the text an author sees.
+// decode parses a schema document into its raw particle form.
 func decode(data []byte) (*rawSchema, error) {
-	data = dtd.StripBOMBytes(data)
-	d := &decoder{d: xml.NewDecoder(bytes.NewReader(data)), data: data}
+	d := &decoder{}
+	d.t.Reset(data)
 	rs := &rawSchema{groups: map[string]*rawParticle{}, simpleTypes: map[string]bool{}}
 	root, err := d.nextStart()
 	if err != nil {
 		return nil, err
 	}
-	if root == nil || root.Name.Local != "schema" {
+	if !root || string(d.t.Local()) != "schema" {
 		return nil, errAt(d.line(), "document root must be an XML Schema <schema> element")
 	}
 	for {
-		se, end, err := d.child()
+		end, err := d.child()
 		if err != nil {
 			return nil, err
 		}
 		if end {
 			return rs, nil
 		}
-		switch se.Name.Local {
+		switch string(d.t.Local()) {
 		case "element":
-			p, err := d.element(se)
+			p, err := d.element()
 			if err != nil {
 				return nil, err
 			}
@@ -125,7 +114,7 @@ func decode(data []byte) (*rawSchema, error) {
 			}
 			rs.elements = append(rs.elements, p)
 		case "complexType":
-			rt, err := d.complexType(se)
+			rt, err := d.complexType()
 			if err != nil {
 				return nil, err
 			}
@@ -134,11 +123,11 @@ func decode(data []byte) (*rawSchema, error) {
 			}
 			rs.types = append(rs.types, rt)
 		case "group":
-			if err := d.topGroup(se, rs); err != nil {
+			if err := d.topGroup(rs); err != nil {
 				return nil, err
 			}
 		case "simpleType":
-			if n := attr(se, "name"); n != "" {
+			if n := d.attr("name"); n != "" {
 				rs.simpleTypes[n] = true
 			}
 			if err := d.skip(); err != nil {
@@ -150,57 +139,72 @@ func decode(data []byte) (*rawSchema, error) {
 				return nil, err
 			}
 		default:
-			return nil, errAt(d.line(), "unsupported top-level <%s>", se.Name.Local)
+			return nil, errAt(d.line(), "unsupported top-level <%s>", d.t.Local())
 		}
 	}
 }
 
-// nextStart returns the first StartElement token (nil at EOF).
-func (d *decoder) nextStart() (*xml.StartElement, error) {
+// malformed reports a tokenizer error at the line it carries.
+func (d *decoder) malformed(err error) error {
+	var se *xmltok.SyntaxError
+	if errors.As(err, &se) {
+		return errAt(se.Line, "malformed XML: %s", se.Msg)
+	}
+	return errAt(d.line(), "malformed XML: %v", err)
+}
+
+// nextStart advances to the first start tag; it reports false at the end
+// of the input.
+func (d *decoder) nextStart() (bool, error) {
 	for {
-		tok, err := d.d.Token()
+		k, err := d.t.Next()
 		if err == io.EOF {
-			return nil, nil
+			return false, nil
 		}
 		if err != nil {
-			return nil, errAt(d.line(), "malformed XML: %v", err)
+			return false, d.malformed(err)
 		}
-		if se, ok := tok.(xml.StartElement); ok {
-			return &se, nil
+		if k == xmltok.StartElement {
+			return true, nil
 		}
 	}
 }
 
-// child returns the next child StartElement of the currently open element,
-// or end=true at its EndElement.
-func (d *decoder) child() (xml.StartElement, bool, error) {
+// child advances to the next child start tag of the open element, or
+// reports end=true at its end tag.
+func (d *decoder) child() (end bool, err error) {
 	for {
-		tok, err := d.d.Token()
+		k, err := d.t.Next()
 		if err != nil {
-			return xml.StartElement{}, false, errAt(d.line(), "malformed XML: %v", err)
+			return false, d.malformed(err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			return t, false, nil
-		case xml.EndElement:
-			return xml.StartElement{}, true, nil
+		switch k {
+		case xmltok.StartElement:
+			return false, nil
+		case xmltok.EndElement:
+			return true, nil
 		}
 	}
 }
 
-// skip consumes the remainder of the currently open element.
+// skip consumes the remainder of the element whose start tag was just
+// read.
 func (d *decoder) skip() error {
-	if err := d.d.Skip(); err != nil {
-		return errAt(d.line(), "malformed XML: %v", err)
+	for depth := d.t.Depth(); d.t.Depth() >= depth; {
+		if _, err := d.t.Next(); err != nil {
+			return d.malformed(err)
+		}
 	}
 	return nil
 }
 
-// attr returns the (namespace-ignored) attribute value, "" if absent.
-func attr(se xml.StartElement, name string) string {
-	for _, a := range se.Attr {
-		if a.Name.Local == name && a.Name.Space == "" {
-			return a.Value
+// attr returns the value of the current start tag's attribute named
+// exactly name, "" if absent: prefixed attributes (xml:lang, x:name)
+// never match.
+func (d *decoder) attr(name string) string {
+	for i := 0; i < d.t.AttrCount(); i++ {
+		if string(d.t.AttrName(i)) == name {
+			return string(d.t.AttrValue(i))
 		}
 	}
 	return ""
@@ -220,10 +224,10 @@ func localPart(qname string) string {
 // like any other max < min (a defaulted minOccurs is forgiven — bare
 // maxOccurs="0" is the common prohibition shorthand). A finite bound
 // above ast.MaxBound does not fit the parse tree and is rejected.
-func (d *decoder) occurs(se xml.StartElement) (min, max int, err error) {
+func (d *decoder) occurs() (min, max int, err error) {
 	min, max = 1, 1
 	minExplicit := false
-	if v := attr(se, "minOccurs"); v != "" {
+	if v := d.attr("minOccurs"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			return 0, 0, errAt(d.line(), "invalid minOccurs %q", v)
@@ -234,7 +238,7 @@ func (d *decoder) occurs(se xml.StartElement) (min, max int, err error) {
 		min = n
 		minExplicit = true
 	}
-	if v := attr(se, "maxOccurs"); v != "" {
+	if v := d.attr("maxOccurs"); v != "" {
 		if v == "unbounded" {
 			max = ast.Unbounded
 		} else {
@@ -258,14 +262,14 @@ func (d *decoder) occurs(se xml.StartElement) (min, max int, err error) {
 }
 
 // element decodes an <element> declaration or reference (the opening tag
-// has been consumed).
-func (d *decoder) element(se xml.StartElement) (*rawParticle, error) {
+// has been read).
+func (d *decoder) element() (*rawParticle, error) {
 	p := &rawParticle{kind: "element", line: d.line()}
-	p.name = attr(se, "name")
-	p.ref = localPart(attr(se, "ref"))
-	p.typ = localPart(attr(se, "type"))
+	p.name = d.attr("name")
+	p.ref = localPart(d.attr("ref"))
+	p.typ = localPart(d.attr("type"))
 	var err error
-	p.min, p.max, err = d.occurs(se)
+	p.min, p.max, err = d.occurs()
 	if err != nil {
 		return nil, err
 	}
@@ -279,14 +283,14 @@ func (d *decoder) element(se xml.StartElement) (*rawParticle, error) {
 		return nil, errAt(p.line, "element ref %q cannot carry a type", p.ref)
 	}
 	for {
-		ce, end, err := d.child()
+		end, err := d.child()
 		if err != nil {
 			return nil, err
 		}
 		if end {
 			return p, nil
 		}
-		switch ce.Name.Local {
+		switch string(d.t.Local()) {
 		case "complexType":
 			if p.ref != "" {
 				return nil, errAt(d.line(), "element ref %q cannot carry an inline type", p.ref)
@@ -294,7 +298,7 @@ func (d *decoder) element(se xml.StartElement) (*rawParticle, error) {
 			if p.inline != nil || p.typ != "" {
 				return nil, errAt(d.line(), "element %q has more than one type", p.name)
 			}
-			rt, err := d.complexType(ce)
+			rt, err := d.complexType()
 			if err != nil {
 				return nil, err
 			}
@@ -315,31 +319,31 @@ func (d *decoder) element(se xml.StartElement) (*rawParticle, error) {
 				return nil, err
 			}
 		default:
-			return nil, errAt(d.line(), "unsupported <%s> inside element declaration", ce.Name.Local)
+			return nil, errAt(d.line(), "unsupported <%s> inside element declaration", d.t.Local())
 		}
 	}
 }
 
-// complexType decodes a <complexType> (the opening tag has been consumed).
-func (d *decoder) complexType(se xml.StartElement) (*rawType, error) {
-	rt := &rawType{name: attr(se, "name"), line: d.line()}
-	if v := attr(se, "mixed"); v == "true" || v == "1" {
+// complexType decodes a <complexType> (the opening tag has been read).
+func (d *decoder) complexType() (*rawType, error) {
+	rt := &rawType{name: d.attr("name"), line: d.line()}
+	if v := d.attr("mixed"); v == "true" || v == "1" {
 		rt.mixed = true
 	}
 	for {
-		ce, end, err := d.child()
+		end, err := d.child()
 		if err != nil {
 			return nil, err
 		}
 		if end {
 			return rt, nil
 		}
-		switch ce.Name.Local {
+		switch string(d.t.Local()) {
 		case "sequence", "choice", "all":
 			if rt.content != nil {
 				return nil, errAt(d.line(), "complexType %s has more than one content particle", rt.name)
 			}
-			p, err := d.modelGroup(ce)
+			p, err := d.modelGroup()
 			if err != nil {
 				return nil, err
 			}
@@ -348,7 +352,7 @@ func (d *decoder) complexType(se xml.StartElement) (*rawType, error) {
 			if rt.content != nil {
 				return nil, errAt(d.line(), "complexType %s has more than one content particle", rt.name)
 			}
-			p, err := d.groupRef(ce)
+			p, err := d.groupRef()
 			if err != nil {
 				return nil, err
 			}
@@ -365,40 +369,40 @@ func (d *decoder) complexType(se xml.StartElement) (*rawType, error) {
 				return nil, err
 			}
 		default:
-			return nil, errAt(d.line(), "unsupported <%s> inside complexType", ce.Name.Local)
+			return nil, errAt(d.line(), "unsupported <%s> inside complexType", d.t.Local())
 		}
 	}
 }
 
 // modelGroup decodes <sequence>, <choice> or <all> (the opening tag has
-// been consumed).
-func (d *decoder) modelGroup(se xml.StartElement) (*rawParticle, error) {
-	p := &rawParticle{kind: se.Name.Local, line: d.line()}
+// been read).
+func (d *decoder) modelGroup() (*rawParticle, error) {
+	p := &rawParticle{kind: string(d.t.Local()), line: d.line()}
 	var err error
-	p.min, p.max, err = d.occurs(se)
+	p.min, p.max, err = d.occurs()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		ce, end, err := d.child()
+		end, err := d.child()
 		if err != nil {
 			return nil, err
 		}
 		if end {
 			return p, nil
 		}
-		switch ce.Name.Local {
+		switch string(d.t.Local()) {
 		case "element":
-			c, err := d.element(ce)
+			c, err := d.element()
 			if err != nil {
 				return nil, err
 			}
 			p.items = append(p.items, c)
 		case "sequence", "choice", "all":
-			if ce.Name.Local == "all" || p.kind == "all" {
+			if string(d.t.Local()) == "all" || p.kind == "all" {
 				return nil, errAt(d.line(), "xs:all must be the entire content model")
 			}
-			c, err := d.modelGroup(ce)
+			c, err := d.modelGroup()
 			if err != nil {
 				return nil, err
 			}
@@ -407,7 +411,7 @@ func (d *decoder) modelGroup(se xml.StartElement) (*rawParticle, error) {
 			if p.kind == "all" {
 				return nil, errAt(d.line(), "xs:all may contain only element declarations")
 			}
-			c, err := d.groupRef(ce)
+			c, err := d.groupRef()
 			if err != nil {
 				return nil, err
 			}
@@ -419,20 +423,20 @@ func (d *decoder) modelGroup(se xml.StartElement) (*rawParticle, error) {
 				return nil, err
 			}
 		default:
-			return nil, errAt(d.line(), "unsupported <%s> inside %s", ce.Name.Local, p.kind)
+			return nil, errAt(d.line(), "unsupported <%s> inside %s", d.t.Local(), p.kind)
 		}
 	}
 }
 
 // groupRef decodes a <group ref="…"/> particle.
-func (d *decoder) groupRef(se xml.StartElement) (*rawParticle, error) {
+func (d *decoder) groupRef() (*rawParticle, error) {
 	p := &rawParticle{kind: "group", line: d.line()}
-	p.ref = localPart(attr(se, "ref"))
+	p.ref = localPart(d.attr("ref"))
 	if p.ref == "" {
 		return nil, errAt(p.line, "group reference needs a ref")
 	}
 	var err error
-	p.min, p.max, err = d.occurs(se)
+	p.min, p.max, err = d.occurs()
 	if err != nil {
 		return nil, err
 	}
@@ -443,8 +447,8 @@ func (d *decoder) groupRef(se xml.StartElement) (*rawParticle, error) {
 }
 
 // topGroup decodes a top-level named <group> definition into rs.groups.
-func (d *decoder) topGroup(se xml.StartElement, rs *rawSchema) error {
-	name := attr(se, "name")
+func (d *decoder) topGroup(rs *rawSchema) error {
+	name := d.attr("name")
 	line := d.line()
 	if name == "" {
 		return errAt(line, "top-level group needs a name")
@@ -454,7 +458,7 @@ func (d *decoder) topGroup(se xml.StartElement, rs *rawSchema) error {
 	}
 	var body *rawParticle
 	for {
-		ce, end, err := d.child()
+		end, err := d.child()
 		if err != nil {
 			return err
 		}
@@ -466,12 +470,12 @@ func (d *decoder) topGroup(se xml.StartElement, rs *rawSchema) error {
 			rs.groupOrder = append(rs.groupOrder, name)
 			return nil
 		}
-		switch ce.Name.Local {
+		switch string(d.t.Local()) {
 		case "sequence", "choice", "all":
 			if body != nil {
 				return errAt(d.line(), "group %q has more than one content particle", name)
 			}
-			p, err := d.modelGroup(ce)
+			p, err := d.modelGroup()
 			if err != nil {
 				return err
 			}
@@ -481,7 +485,7 @@ func (d *decoder) topGroup(se xml.StartElement, rs *rawSchema) error {
 				return err
 			}
 		default:
-			return errAt(d.line(), "unsupported <%s> inside group %q", ce.Name.Local, name)
+			return errAt(d.line(), "unsupported <%s> inside group %q", d.t.Local(), name)
 		}
 	}
 }

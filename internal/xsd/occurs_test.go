@@ -23,6 +23,8 @@ func TestOccursBoundLimit(t *testing.T) {
 		`maxOccurs="4294967298"`,
 		`maxOccurs="3000000000"`,
 		`minOccurs="2147483647" maxOccurs="unbounded"`,
+		// A tag spanning lines reports the line it opens on.
+		"\n\n      maxOccurs=\"3000000000\"",
 	} {
 		_, err := ParseWithCache(schema(occurs), dregex.NewCache(16))
 		if err == nil || !strings.Contains(err.Error(), "line 3:") || !strings.Contains(err.Error(), "exceeds 2147483646") {

@@ -1,6 +1,7 @@
 // Package xsd applies the paper's algorithms to the schema language where
 // deterministic expressions with counters actually live in the wild: XML
-// Schema. It parses schema documents (via encoding/xml), lowers complexType
+// Schema. It parses schema documents (with internal/xmltok, the tokenizer
+// the validators read instance documents with), lowers complexType
 // content models — sequence, choice, all, element references, named model
 // groups, minOccurs/maxOccurs including unbounded — into the dregex
 // pipeline, checks each model for determinism (the Unique Particle
@@ -442,15 +443,12 @@ func (r *resolver) compileModel(t *Type, line int) error {
 	t.Deterministic = cm.IsDeterministic()
 	t.Rule = cm.Rule()
 	if t.Deterministic {
-		// Content models are shallow, so Auto resolves to the cheap
-		// engines the paper recommends for them; fall back to k-ORE like
-		// the DTD front end if the preferred engine cannot build.
+		// Content models are small, so Auto resolves almost always to the
+		// dense table, and past its budget to a §4 engine; on a
+		// deterministic model it cannot fail.
 		m, err := cm.Matcher(dregex.Auto)
 		if err != nil {
-			m, err = cm.Matcher(dregex.KORE)
-			if err != nil {
-				return errAt(line, "type %s: %v", t.Name, err)
-			}
+			return errAt(line, "type %s: %v", t.Name, err)
 		}
 		t.matcher = m
 	}

@@ -365,6 +365,12 @@ func TestSchemaErrors(t *testing.T) {
 </schema>`, "minOccurs 0 or 1 and maxOccurs 1"},
 		{"bad name", "<schema xmlns=\"x\"><element name=\"r\"><complexType><sequence><element name=\"a b\" type=\"string\"/></sequence></complexType></element></schema>",
 			"invalid element name"},
+		{"non-UTF-8 encoding", `<?xml version="1.0" encoding="ISO-8859-1"?><schema xmlns="x"><element name="a" type="string"/></schema>`,
+			"malformed XML"},
+		{"undeclared entity in attribute", `<schema xmlns="x"><element name="a&ent;" type="string"/></schema>`,
+			"malformed XML"},
+		{"mismatched end tag", "<schema xmlns=\"x\">\n<element name=\"a\">\n</elements\n>\n</schema>",
+			"line 3: malformed XML"},
 	}
 	for _, c := range cases {
 		_, err := Parse([]byte(c.src))
@@ -374,6 +380,52 @@ func TestSchemaErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestSchemaMarkupSkipped: markup around the particles — prefixed and
+// xml: attributes, comments, processing instructions, CDATA sections and
+// text, annotations with arbitrary content — does not change the schema.
+func TestSchemaMarkupSkipped(t *testing.T) {
+	const doc = `<documentation xml:lang="en">An <b>element</b>: <element name="no"/></documentation><appinfo><sequence/></appinfo>`
+	cases := []struct {
+		name, src, root, model string
+	}{
+		{"prefixed attributes", `<schema xmlns="x" xmlns:x="u" xml:lang="en">
+  <element x:name="a" name="b" xml:lang="en"><complexType><sequence>
+    <element name="c" x:type="T" type="string"/>
+  </sequence></complexType></element>
+</schema>`, "b", "(c)"},
+		{"comments, PIs, CDATA and text", `<?xml version="1.0"?><!-- c --><schema xmlns="x"><!-- c --><?pi data?>text
+  <element name="r">t<!-- c --><complexType><![CDATA[<element name="no"/>]]><sequence>
+    <?pi?><element name="a" type="string"/><!-- <element name="no"/> -->text<![CDATA[x]]>
+    <element name="b" type="string"/>
+  </sequence>t</complexType></element>
+</schema>`, "r", "(a, b)"},
+		{"self-closing annotations", `<schema xmlns="x"><annotation/>
+  <group name="g"><annotation/><sequence><annotation/><element name="a" type="string"><annotation/></element></sequence></group>
+  <element name="r"><annotation/><complexType><annotation/><group ref="g"/></complexType></element>
+</schema>`, "r", "(a)"},
+		{"annotations with markup", `<schema xmlns="x"><annotation>` + doc + `</annotation>
+  <group name="g"><annotation>` + doc + `</annotation><sequence><annotation>` + doc + `</annotation>
+    <element name="a" type="string"><annotation>` + doc + `</annotation></element></sequence></group>
+  <element name="r"><annotation>` + doc + `</annotation><complexType><annotation>` + doc + `</annotation>
+    <group ref="g"/></complexType></element>
+</schema>`, "r", "(a)"},
+	}
+	for _, c := range cases {
+		s, err := ParseWithCache([]byte(c.src), dregex.NewCache(16))
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if len(s.RootOrder) != 1 || s.RootOrder[0] != c.root {
+			t.Errorf("%s: roots %v, want [%s]", c.name, s.RootOrder, c.root)
+			continue
+		}
+		if m := s.Roots[c.root].Type.Model; m != c.model {
+			t.Errorf("%s: model %q, want %q", c.name, m, c.model)
 		}
 	}
 }
@@ -476,5 +528,51 @@ func TestCacheSharesXSDModels(t *testing.T) {
 	after := cache.Stats()
 	if after.Misses != before.Misses+1 {
 		t.Error("DTD-syntax compile of the same text must be a distinct cache entry")
+	}
+}
+
+// batchSchema has the shape of a typical counter schema: two named types,
+// a global root, a counted element and a counted choice.
+const batchSchema = `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="batch" type="Batch"/>
+  <xs:complexType name="Batch">
+    <xs:sequence>
+      <xs:element name="source" type="xs:string"/>
+      <xs:element name="series" type="Series" minOccurs="0" maxOccurs="unbounded"/>
+    </xs:sequence>
+  </xs:complexType>
+  <xs:complexType name="Series">
+    <xs:sequence>
+      <xs:element name="label" type="xs:string"/>
+      <xs:element name="point" type="xs:string" minOccurs="2" maxOccurs="12"/>
+      <xs:choice minOccurs="0" maxOccurs="3">
+        <xs:element name="flag" type="xs:string"/>
+        <xs:element name="comment" type="xs:string"/>
+      </xs:choice>
+      <xs:element name="unit" type="xs:string" minOccurs="0"/>
+    </xs:sequence>
+  </xs:complexType>
+</xs:schema>
+`
+
+// TestParseWarmAllocs pins the allocations of parsing a schema whose
+// models are already cached: decoding, resolution and the validator's
+// name tables, with compilation amortized away. The cache keeps 64 entries per
+// shard: at 16 entries, one per shard, two of the schema's models can hash
+// to one shard and evict each other on every parse.
+func TestParseWarmAllocs(t *testing.T) {
+	const pin = 128
+	cache := dregex.NewCache(1024)
+	src := []byte(batchSchema)
+	if _, err := ParseWithCache(src, cache); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(20, func() {
+		if _, err := ParseWithCache(src, cache); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > pin {
+		t.Errorf("warm ParseWithCache: %v allocs, want at most %d", n, pin)
 	}
 }
