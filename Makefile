@@ -52,14 +52,15 @@ fuzz-smoke:
 # handlers, the xmltok tokenizer and the validation driver).
 BENCH_PKGS := . ./internal/server ./internal/xmltok ./internal/validate
 bench:
+	@mkdir -p .bench_build
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) -benchmem $(BENCH_PKGS) \
-		| tee /tmp/dregex_bench.txt
-	$(GO) run ./cmd/benchtab -exp e1,e5,e7,e9 | tee /tmp/dregex_benchtab.txt
+		| tee .bench_build/dregex_bench.txt
+	$(GO) run ./cmd/benchtab -exp e1,e5,e7,e9 | tee .bench_build/dregex_benchtab.txt
 	@printf '{\n  "date": "%s",\n  "go": "%s",\n  "bench": %s,\n  "benchtab": %s\n}\n' \
 		"$(DATE)" \
 		"$$($(GO) version | cut -d' ' -f3)" \
-		"$$(python3 -c 'import json,sys;print(json.dumps(open("/tmp/dregex_bench.txt").read()))' 2>/dev/null || echo '""')" \
-		"$$(python3 -c 'import json,sys;print(json.dumps(open("/tmp/dregex_benchtab.txt").read()))' 2>/dev/null || echo '""')" \
+		"$$(python3 -c 'import json,sys;print(json.dumps(open(".bench_build/dregex_bench.txt").read()))' 2>/dev/null || echo '""')" \
+		"$$(python3 -c 'import json,sys;print(json.dumps(open(".bench_build/dregex_benchtab.txt").read()))' 2>/dev/null || echo '""')" \
 		> BENCH_$(DATE).json
 	@echo "wrote BENCH_$(DATE).json"
 
@@ -82,16 +83,17 @@ BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
 GATE_UNITS ?= B/op,allocs/op
 bench-check:
 	@test -n "$(BENCH_BASELINE)" || { echo "no committed BENCH_*.json baseline"; exit 1; }
+	@mkdir -p .bench_build
 	$(GO) test -run xxx -bench '$(BENCH_PINNED)' -benchtime 0.5s -benchmem $(BENCH_PKGS) \
-		| tee /tmp/dregex_bench_ci.txt
+		| tee .bench_build/dregex_bench_ci.txt
 	@printf '{\n  "date": "%s",\n  "go": "%s",\n  "bench": %s\n}\n' \
 		"$(DATE)" \
 		"$$($(GO) version | cut -d' ' -f3)" \
-		"$$(python3 -c 'import json;print(json.dumps(open("/tmp/dregex_bench_ci.txt").read()))')" \
-		> /tmp/BENCH_ci.json
+		"$$(python3 -c 'import json;print(json.dumps(open(".bench_build/dregex_bench_ci.txt").read()))')" \
+		> .bench_build/BENCH_ci.json
 	$(GO) run ./cmd/benchtab -diff -gate '$(BENCH_PINNED)' -max-regress 25 \
 		$(if $(GATE_UNITS),-gate-units '$(GATE_UNITS)') \
-		$(BENCH_BASELINE) /tmp/BENCH_ci.json
+		$(BENCH_BASELINE) .bench_build/BENCH_ci.json
 
 lint: fmt vet drevet no-encoding-xml
 

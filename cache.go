@@ -3,42 +3,35 @@ package dregex
 import (
 	"context"
 	"fmt"
-	"hash/maphash"
 	"sync"
-	"sync/atomic"
 )
 
-// Cache is a sharded, concurrency-safe LRU over compiled expressions,
-// keyed by (syntax, source, plain/numeric). It amortizes the O(|e|)
-// compile-time preprocessing across calls, which — together with the
-// per-Expr engine cache — is what makes validator-style traffic cheap:
-// real schema corpora reuse a small set of content models at enormous
-// rates, so steady state is a hash probe, not a compile.
+// Cache is a concurrency-safe LRU over compiled expressions, keyed by
+// (syntax, source, plain/numeric). It amortizes the O(|e|) compile-time
+// preprocessing across calls, which — together with the per-Expr engine
+// cache — is what makes validator-style traffic cheap: real schema corpora
+// reuse a small set of content models at enormous rates, so steady state
+// is a map probe, not a compile.
 //
 // Concurrent Gets of the same key are deduplicated: exactly one goroutine
 // compiles while the others wait for its result, and all receive the same
 // *Expr (so they also share its lazily built engines). Compilation runs
-// outside the shard lock; an entry mid-compile can be evicted without
-// affecting callers already holding it.
+// outside the lock. An entry mid-compile is on no LRU list, so eviction
+// never drops it; only Purge can, without affecting callers already
+// waiting on it.
 //
 // Failed compiles are cached too (a hot malformed input does not recompile
 // per request), but negatively cached errors are segregated into their own
-// small per-shard LRU: a stream of distinct bad sources can only evict
-// other bad sources, never a hot compiled expression.
+// small LRU: a stream of distinct bad sources can only evict other bad
+// sources, never a hot compiled expression.
 type Cache struct {
-	shards []cacheShard
-	seed   maphash.Seed
-	// perShard is the compiled-entry capacity of each shard; total
-	// capacity is perShard * len(shards). negPerShard bounds each shard's
-	// segregated negative (compile-error) entries.
-	perShard    int
-	negPerShard int
-	hits        atomic.Uint64
-	misses      atomic.Uint64
-	evictions   atomic.Uint64
+	mu sync.Mutex
+	m  map[cacheKey]*cacheEntry
+	// pos holds compiled expressions, neg cached compile errors.
+	pos, neg lruList
+	// Counters, guarded by mu like the lists.
+	hits, misses, evictions uint64
 }
-
-const cacheShards = 16
 
 // CacheStats reports cache effectiveness counters.
 type CacheStats struct {
@@ -69,77 +62,64 @@ type cacheKey struct {
 	source  string
 }
 
-// cacheEntry is one compiled expression. The once field makes the compile
-// single-flight: the entry is published in the shard map before anything
-// is compiled, and every Get for its key funnels through once.Do. Entries
-// join an LRU list only once their compile has resolved (finish), so the
-// positive/negative verdict decides which list — and which capacity bound
-// — they fall under.
+// cacheEntry is one compiled expression. It is published in the map before
+// anything is compiled, so concurrent Gets of its key find it and wait on
+// done; the Get that created it compiles it, then places it on the LRU
+// list its outcome selects — which is why the positive/negative verdict
+// decides the capacity bound it falls under.
 type cacheEntry struct {
-	key  cacheKey
-	once sync.Once
-	// done closes when the compile inside once.Do has resolved; it is what
-	// lets the Ctx variants wait on a compile without being committed to it.
-	// Invariant: linked entries always have done closed (finish runs after
-	// the once.Do body), so hits on resolved entries never block.
+	key cacheKey
+	// done closes once expr, nexp and err are final.
 	done chan struct{}
 	expr *Expr        // plain pipeline result
 	nexp *NumericExpr // numeric pipeline result
 	err  error
 
-	// Intrusive LRU list links and placement, guarded by the shard mutex.
+	// Intrusive LRU links, guarded by the cache mutex; prev is nil while
+	// the entry is on no list (mid-compile).
 	prev, next *cacheEntry
-	linked     bool
-	neg        bool
 }
 
-type cacheShard struct {
-	mu sync.Mutex
-	m  map[cacheKey]*cacheEntry
-	// Doubly linked LRU lists with sentinel heads: head for compiled
-	// entries, neg for cached compile errors. head.next is most-recently
-	// used, head.prev is the eviction candidate.
-	head cacheEntry
-	neg  cacheEntry
-	// nPos/nNeg count linked entries per list (map entries mid-compile are
-	// on neither list and uncounted; they are transient, bounded by the
-	// number of concurrently compiling goroutines).
-	nPos, nNeg int
+// lruList is a doubly linked list with a sentinel root: root.next is the
+// most recently used entry, root.prev the eviction candidate.
+type lruList struct {
+	root   cacheEntry
+	n, max int
+}
+
+func (l *lruList) init() {
+	l.root.prev, l.root.next = &l.root, &l.root
+	l.n = 0
+}
+
+func (l *lruList) pushFront(e *cacheEntry) {
+	e.prev, e.next = &l.root, l.root.next
+	l.root.next.prev = e
+	l.root.next = e
+	l.n++
+}
+
+func (l *lruList) remove(e *cacheEntry) {
+	e.prev.next = e.next
+	e.next.prev = e.prev
+	e.prev, e.next = nil, nil
+	l.n--
 }
 
 // NewCache returns a cache holding up to capacity compiled expressions
-// (rounded up to a multiple of the shard count; capacity ≤ 0 selects a
-// default of 1024), plus a segregated allowance — a quarter of capacity,
-// at least one per shard — for negatively cached compile errors. It is
-// ready for concurrent use.
+// (capacity ≤ 0 selects a default of 1024), plus a segregated allowance —
+// a quarter of capacity, at least one — for negatively cached compile
+// errors. It is ready for concurrent use.
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	perShard := (capacity + cacheShards - 1) / cacheShards
-	negPerShard := perShard / 4
-	if negPerShard < 1 {
-		negPerShard = 1
-	}
-	c := &Cache{
-		shards:      make([]cacheShard, cacheShards),
-		seed:        maphash.MakeSeed(),
-		perShard:    perShard,
-		negPerShard: negPerShard,
-	}
-	for i := range c.shards {
-		c.shards[i].init()
-	}
+	c := &Cache{m: make(map[cacheKey]*cacheEntry)}
+	c.pos.max = capacity
+	c.neg.max = max(1, capacity/4)
+	c.pos.init()
+	c.neg.init()
 	return c
-}
-
-func (s *cacheShard) init() {
-	s.m = make(map[cacheKey]*cacheEntry)
-	s.head.prev = &s.head
-	s.head.next = &s.head
-	s.neg.prev = &s.neg
-	s.neg.next = &s.neg
-	s.nPos, s.nNeg = 0, 0
 }
 
 // Get returns the compiled form of source, compiling at most once per
@@ -147,25 +127,18 @@ func (s *cacheShard) init() {
 // immutable and its engine cache is concurrency-safe). Compile errors are
 // cached in the segregated negative LRU.
 func (c *Cache) Get(source string, syntax Syntax) (*Expr, error) {
-	e, _, err := c.GetInfo(source, syntax)
+	e, _, _, err := c.get(context.Background(), cacheKey{syntax: syntax, source: source})
 	return e, err
 }
 
 // GetInfo is Get reporting whether the result was served from a resident
 // entry (a cache hit), so serving layers can label responses and account
 // for compile costs per request. The flag agrees with the Stats counters:
-// a Get that found the key in the shard map — even one that then waits on
+// a Get that found the key in the map — even one that then waits on
 // another goroutine's in-flight compile — is a hit.
 func (c *Cache) GetInfo(source string, syntax Syntax) (expr *Expr, hit bool, err error) {
-	s, e, place, hit := c.entry(cacheKey{syntax: syntax, source: source})
-	e.once.Do(func() {
-		e.expr, e.err = Compile(source, syntax)
-		close(e.done)
-	})
-	if place {
-		c.finish(s, e)
-	}
-	return e.expr, hit, e.err
+	expr, _, hit, err = c.get(context.Background(), cacheKey{syntax: syntax, source: source})
+	return expr, hit, err
 }
 
 // GetInfoCtx is GetInfo with a cancellation escape hatch: a caller whose
@@ -176,219 +149,133 @@ func (c *Cache) GetInfo(source string, syntax Syntax) (expr *Expr, hit bool, err
 // and the single-flight guarantee is preserved. A ctx that cannot be
 // canceled takes the exact GetInfo path.
 func (c *Cache) GetInfoCtx(ctx context.Context, source string, syntax Syntax) (expr *Expr, hit bool, err error) {
-	if ctx.Done() == nil {
-		return c.GetInfo(source, syntax)
-	}
-	s, e, place, hit := c.entry(cacheKey{syntax: syntax, source: source})
-	if err := c.await(ctx, s, e, place, func() {
-		e.expr, e.err = Compile(source, syntax)
-	}); err != nil {
-		return nil, hit, err
-	}
-	return e.expr, hit, e.err
+	expr, _, hit, err = c.get(ctx, cacheKey{syntax: syntax, source: source})
+	return expr, hit, err
 }
 
 // GetNumeric is Get through the numeric pipeline (CompileNumeric). Plain
 // and numeric compilations of the same source are distinct cache entries.
 func (c *Cache) GetNumeric(source string, syntax Syntax) (*NumericExpr, error) {
-	e, _, err := c.GetNumericInfo(source, syntax)
-	return e, err
+	_, nexp, _, err := c.get(context.Background(), cacheKey{syntax: syntax, source: source, numeric: true})
+	return nexp, err
 }
 
 // GetNumericInfo is GetNumeric reporting cache-hit status, like GetInfo.
 func (c *Cache) GetNumericInfo(source string, syntax Syntax) (nexp *NumericExpr, hit bool, err error) {
-	s, e, place, hit := c.entry(cacheKey{syntax: syntax, source: source, numeric: true})
-	e.once.Do(func() {
-		e.nexp, e.err = CompileNumeric(source, syntax)
-		close(e.done)
-	})
-	if place {
-		c.finish(s, e)
-	}
-	return e.nexp, hit, e.err
+	_, nexp, hit, err = c.get(context.Background(), cacheKey{syntax: syntax, source: source, numeric: true})
+	return nexp, hit, err
 }
 
 // GetNumericInfoCtx is GetNumericInfo with the GetInfoCtx cancellation
 // contract: waiting is abandonable, the compile itself is not.
 func (c *Cache) GetNumericInfoCtx(ctx context.Context, source string, syntax Syntax) (nexp *NumericExpr, hit bool, err error) {
-	if ctx.Done() == nil {
-		return c.GetNumericInfo(source, syntax)
-	}
-	s, e, place, hit := c.entry(cacheKey{syntax: syntax, source: source, numeric: true})
-	if err := c.await(ctx, s, e, place, func() {
-		e.nexp, e.err = CompileNumeric(source, syntax)
-	}); err != nil {
-		return nil, hit, err
-	}
-	return e.nexp, hit, e.err
+	_, nexp, hit, err = c.get(ctx, cacheKey{syntax: syntax, source: source, numeric: true})
+	return nexp, hit, err
 }
 
-// await resolves entry e for a cancelable caller: if the compile already
-// resolved it returns immediately; otherwise the creator's compile runs in
-// a background goroutine (which also takes over the finish obligation, so
-// an abandoned entry still lands on its LRU list) and the caller waits on
-// whichever of e.done / ctx.Done() fires first. A non-nil return means the
-// caller abandoned the wait; the entry's own fields are then off limits.
-func (c *Cache) await(ctx context.Context, s *cacheShard, e *cacheEntry, place bool, compile func()) error {
-	select {
-	case <-e.done:
-		// Already resolved (the common hit path). finish below handles the
-		// rare resolved-but-unlinked entry (evicted mid-compile and re-Got).
+// get finds or creates the entry for key and returns its compile result.
+// The caller that creates an entry compiles it: inline when ctx cannot be
+// canceled, else in a goroutine, so the caller can stop waiting without
+// abandoning the compile. A hit on a resolved entry returns its result even
+// when ctx has expired. Any other caller whose ctx has expired, or expires
+// while it waits, gets only the wrapped ctx.Err() — a creator with an
+// expired ctx never sees its own compile's result, however fast it is.
+func (c *Cache) get(ctx context.Context, key cacheKey) (*Expr, *NumericExpr, bool, error) {
+	c.mu.Lock()
+	e, hit := c.m[key]
+	if hit {
+		c.hits++
+		if e.prev != nil {
+			l := c.list(e)
+			l.remove(e)
+			l.pushFront(e)
+		}
+	} else {
+		c.misses++
+		e = &cacheEntry{key: key, done: make(chan struct{})}
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	switch {
+	case hit:
+		select {
+		case <-e.done:
+			return e.expr, e.nexp, true, e.err
+		default:
+		}
+	case ctx.Done() == nil:
+		c.compile(e)
 	default:
-		if !place {
-			// Unreachable in practice (linked entries have done closed), but
-			// fall through to waiting rather than assume.
-			break
-		}
-		go func() {
-			e.once.Do(func() {
-				compile()
-				close(e.done)
-			})
-			c.finish(s, e)
-		}()
+		go c.compile(e)
 	}
-	select {
-	case <-e.done:
-		if place {
-			c.finish(s, e)
+	if ctx.Err() == nil {
+		select {
+		case <-e.done:
+			return e.expr, e.nexp, hit, e.err
+		case <-ctx.Done():
 		}
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("dregex: compile wait abandoned: %w", ctx.Err())
 	}
+	return nil, nil, hit, fmt.Errorf("dregex: compile wait abandoned: %w", ctx.Err())
 }
 
-// entry finds or creates the entry for key, updating LRU order and
-// counters. Only map/list manipulation happens under the shard lock. A
-// newly created entry is in the map (so concurrent Gets deduplicate) but
-// on no list until finish places it by compile outcome; place reports
-// whether the caller must run finish (false for linked hits — linked is
-// never cleared while an entry is in the map, so the hot hit path takes
-// the shard lock exactly once). hit reports whether the key was found in
-// the map — the same condition the Stats hit counter records.
-func (c *Cache) entry(key cacheKey) (s *cacheShard, e *cacheEntry, place, hit bool) {
-	var h maphash.Hash
-	h.SetSeed(c.seed)
-	h.WriteString(key.source)
-	b := byte(key.syntax) << 1
-	if key.numeric {
-		b |= 1
-	}
-	h.WriteByte(b)
-	s = &c.shards[h.Sum64()%cacheShards]
-
-	s.mu.Lock()
-	e, ok := s.m[key]
-	if ok {
-		linked := e.linked
-		if linked {
-			unlink(e)
-			s.pushFront(e)
-		}
-		s.mu.Unlock()
-		c.hits.Add(1)
-		return s, e, !linked, true
-	}
-	e = &cacheEntry{key: key, done: make(chan struct{})}
-	s.m[key] = e
-	s.mu.Unlock()
-	c.misses.Add(1)
-	return s, e, true, false
-}
-
-// finish places a resolved entry on the list its compile outcome selects
-// and enforces that list's capacity — so bad sources can only ever evict
-// other bad sources. It is a no-op for entries already placed, or evicted
-// or purged mid-compile.
-func (c *Cache) finish(s *cacheShard, e *cacheEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e.linked || s.m[e.key] != e {
-		return
-	}
-	e.neg = e.err != nil
-	e.linked = true
-	s.pushFront(e)
-	if e.neg {
-		s.nNeg++
-		if s.nNeg > c.negPerShard {
-			s.evict(s.neg.prev)
-			c.evictions.Add(1)
-		}
+// compile resolves a new entry, places it on the list its outcome selects
+// and enforces that list's bound — so bad sources can only ever evict
+// other bad sources — unless Purge dropped it mid-compile.
+func (c *Cache) compile(e *cacheEntry) {
+	if e.key.numeric {
+		e.nexp, e.err = CompileNumeric(e.key.source, e.key.syntax)
 	} else {
-		s.nPos++
-		if s.nPos > c.perShard {
-			s.evict(s.head.prev)
-			c.evictions.Add(1)
+		e.expr, e.err = Compile(e.key.source, e.key.syntax)
+	}
+	c.mu.Lock()
+	if c.m[e.key] == e {
+		l := c.list(e)
+		l.pushFront(e)
+		if l.n > l.max {
+			victim := l.root.prev
+			l.remove(victim)
+			delete(c.m, victim.key)
+			c.evictions++
 		}
 	}
+	c.mu.Unlock()
+	close(e.done)
 }
 
-func (s *cacheShard) evict(victim *cacheEntry) {
-	unlink(victim)
-	if victim.neg {
-		s.nNeg--
-	} else {
-		s.nPos--
+// list returns the LRU list a resolved entry belongs on.
+func (c *Cache) list(e *cacheEntry) *lruList {
+	if e.err != nil {
+		return &c.neg
 	}
-	delete(s.m, victim.key)
-}
-
-func unlink(e *cacheEntry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	e.prev, e.next = nil, nil
-}
-
-// pushFront links e at the MRU end of the list matching its placement.
-func (s *cacheShard) pushFront(e *cacheEntry) {
-	h := &s.head
-	if e.neg {
-		h = &s.neg
-	}
-	e.prev = h
-	e.next = h.next
-	h.next.prev = e
-	h.next = e
+	return &c.pos
 }
 
 // Len returns the number of resident entries (compiled plus negative).
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
 }
 
 // Stats returns a snapshot of the hit/miss counters and residency.
 func (c *Cache) Stats() CacheStats {
-	st := CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Entries:   len(c.m),
+		Negative:  c.neg.n,
+		Evictions: c.evictions,
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Entries += len(s.m)
-		st.Negative += s.nNeg
-		s.mu.Unlock()
-	}
-	return st
 }
 
 // Purge empties the cache (counters are kept). Expressions already handed
 // out remain valid; only future Gets recompile.
 func (c *Cache) Purge() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.init()
-		s.mu.Unlock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m = make(map[cacheKey]*cacheEntry)
+	c.pos.init()
+	c.neg.init()
 }

@@ -64,9 +64,8 @@ func TestCacheNumericSeparateKeyspace(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	// Capacity rounds to one entry per shard; overflowing a shard must
-	// evict its least-recently-used entry, and Len must never exceed
-	// the configured capacity.
+	// Overflowing the cache must evict its least-recently-used entry,
+	// and Len must never exceed the configured capacity.
 	c := NewCache(16)
 	for i := 0; i < 200; i++ {
 		src := fmt.Sprintf("(a, b%d*)", i)
@@ -83,11 +82,47 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
+func TestCacheHoldsCapacity(t *testing.T) {
+	// The capacity is exact: as many distinct models as the cache holds
+	// all stay resident, so fetching each twice compiles each once.
+	c := NewCache(16)
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < 16; i++ {
+			if _, err := c.Get(fmt.Sprintf("(a, b%d*)", i), DTD); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := c.Stats()
+	if st.Misses != 16 || st.Hits != 16 || st.Evictions != 0 || st.Entries != 16 {
+		t.Errorf("Stats = %+v, want 16 misses, 16 hits, 0 evictions, 16 entries", st)
+	}
+}
+
+func TestCacheLRUOrder(t *testing.T) {
+	// One recency order over all keys: touching a makes b the least
+	// recently used, so d evicts b and nothing else.
+	c := NewCache(3)
+	for _, src := range []string{"a", "b", "c", "a", "d"} {
+		if _, err := c.Get(src, Math); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != 3 {
+		t.Fatalf("Stats = %+v, want 1 eviction, 3 entries", st)
+	}
+	for _, src := range []string{"a", "c", "d"} {
+		if _, hit, err := c.GetInfo(src, Math); err != nil || !hit {
+			t.Errorf("GetInfo(%q): hit=%v err=%v, want a hit", src, hit, err)
+		}
+	}
+}
+
 func TestCacheNegativeEntriesCannotEvictHot(t *testing.T) {
 	// Failed compiles are cached in a segregated, separately bounded LRU:
 	// however many distinct bad sources arrive, they evict only each
 	// other, never a hot compiled expression.
-	c := NewCache(16) // one compiled entry per shard — maximally evictable
+	c := NewCache(16) // 16 compiled slots, 4 negative ones
 	hot, err := c.Get("(a, b)", DTD)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +144,7 @@ func TestCacheNegativeEntriesCannotEvictHot(t *testing.T) {
 	if st.Misses != bad+1 {
 		t.Errorf("Misses = %d, want %d (hot entry compiled once)", st.Misses, bad+1)
 	}
-	// Residency stays bounded: 16 compiled slots + 16 negative slots.
+	// Residency stays bounded by the two lists' capacities.
 	if st.Entries > 32 {
 		t.Errorf("Entries = %d after negative churn, want ≤ 32", st.Entries)
 	}
@@ -129,8 +164,8 @@ func TestCacheNegativeEntriesCannotEvictHot(t *testing.T) {
 func TestCacheConcurrentOverlappingKeys(t *testing.T) {
 	// Many goroutines hammer a small key set concurrently; -race must be
 	// quiet, verdicts must be correct, and each key must compile once
-	// (entries stay resident: per-shard capacity exceeds the key count, so
-	// no shard can evict however the seeded hash distributes the keys).
+	// (entries stay resident: capacity exceeds the key count, so nothing
+	// is evicted).
 	c := NewCache(256)
 	sources := []string{
 		"(title, author+, (section | appendix)*)",

@@ -26,8 +26,8 @@
 //   - Compile runs every O(|e|) preprocessing step once, including Stats;
 //   - Expr lazily builds and permanently caches one engine per Algorithm,
 //     so repeated Matcher and MatchAll calls never rebuild a simulator;
-//   - Cache is a sharded, concurrency-safe LRU over compiled expressions
-//     keyed by (syntax, source), deduplicating concurrent compiles;
+//   - Cache is a concurrency-safe LRU over compiled expressions keyed by
+//     (syntax, source), deduplicating concurrent compiles;
 //   - Expr.Intern plus Matcher.MatchWord (or a value match.Stream reused
 //     via Matcher.InitStream) give a steady-state match path with zero
 //     allocations and no per-symbol map lookups.

@@ -301,6 +301,3 @@ func (ix *Index) Query(v parsetree.NodeID, a ast.Symbol) (int32, bool) {
 	}
 	return -1, false
 }
-
-// SetSize returns the number of colored entries (for size accounting).
-func (ix *Index) SetSize() int { return len(ix.entryNode) }

@@ -29,11 +29,6 @@ func New(t *parsetree.Tree) *Index {
 	return &Index{T: t, LCA: lca.New(t)}
 }
 
-// NewWithLCA builds an Index reusing an existing LCA structure for t.
-func NewWithLCA(t *parsetree.Tree, l *lca.LCA) *Index {
-	return &Index{T: t, LCA: l}
-}
-
 // CheckIfFollow reports q ∈ Follow(p) in O(1). p and q must be positions.
 func (ix *Index) CheckIfFollow(p, q parsetree.NodeID) bool {
 	n := ix.LCA.Query(p, q)

@@ -201,11 +201,6 @@ func (s *Stream) Position() parsetree.NodeID {
 	return s.cur
 }
 
-// LastPosition returns the position of the longest viable prefix — the
-// current position while alive, the position just before the killing
-// symbol once dead. This is the failure point ExpectedNext reports from.
-func (s *Stream) LastPosition() parsetree.NodeID { return s.cur }
-
 // ExpectedNext implements run.Runner: the symbols with a follower from the
 // last viable position, i.e. exactly the legal continuations at (or, once
 // dead, just before) the failure point. O(σ) Next probes — an error-path

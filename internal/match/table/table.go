@@ -153,12 +153,6 @@ func (d *DFA) Accept(p parsetree.NodeID) bool {
 	return d.accept[pi/64]&(1<<(pi%64)) != 0
 }
 
-// StartState returns the state-space start (the phantom #'s position
-// index), for callers that step in raw state space via Step/AcceptState —
-// the lexer's per-rule fast path, which keeps one int32 per rule instead
-// of a NodeID it would translate on every symbol.
-func (d *DFA) StartState() int32 { return 0 }
-
 // Step advances one state in raw state space: one bounds check and one
 // table load. Returns Dead when no follower exists (a Dead input stays
 // Dead, so callers may step a dead rule harmlessly).
@@ -176,16 +170,6 @@ func (d *DFA) Step(state int32, a ast.Symbol) int32 {
 //dregex:noalloc
 func (d *DFA) AcceptState(state int32) bool {
 	return state != Dead && d.accept[state/64]&(1<<(state%64)) != 0
-}
-
-// StateNode translates a live raw state back to its position NodeID.
-//
-//dregex:noalloc
-func (d *DFA) StateNode(state int32) parsetree.NodeID {
-	if state == Dead {
-		return parsetree.Null
-	}
-	return d.posNode[state]
 }
 
 // MatchWord is the devirtualized hot loop over a word of interned symbols:

@@ -212,15 +212,6 @@ func (s *Stream) ExpectedNext(dst []ast.Symbol) []ast.Symbol {
 	return dst
 }
 
-// Configs returns the number of live configurations (diagnostics; 1 for
-// deterministic expressions on viable prefixes).
-func (s *Stream) Configs() int {
-	if !s.Alive() {
-		return 0
-	}
-	return s.cur.n()
-}
-
 // appendSteps adds every legal successor configuration of (p, pc) at
 // position q into out, deduplicating. A transition is legal when the
 // iterations being exited have reached Min, the looped iteration (if any)

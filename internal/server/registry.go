@@ -110,15 +110,25 @@ func (s *Server) lookupSchema(name string) *schemaEntry {
 // with any prefix, means a schema document. Comments, processing
 // instructions, text and a DOCTYPE are read past, so either kind may quote
 // the other's markup in a comment, and a schema document's internal subset
-// may declare elements. Anything else — another first element, no element,
-// or text that is not well-formed XML, as most DTDs are not — means a DTD.
+// may declare elements. Another first element, or no element, means a
+// DTD. A source the tokenizer rejects before anything decided is a DTD if
+// it contains <!ELEMENT (most DTDs are not well-formed XML, and a DTD's
+// text declaration may name an encoding the tokenizer rejects), and
+// otherwise a schema document, whose decoder then reports the error; the
+// DTD parser would reject a source without <!ELEMENT anyway.
 func sniffKind(src []byte) string {
 	var tok xmltok.Tokenizer
 	tok.Reset(src)
 	for {
 		k, err := tok.Next()
-		if err != nil {
+		if err == io.EOF {
 			return client.KindDTD
+		}
+		if err != nil {
+			if bytes.Contains(src, []byte("<!ELEMENT")) {
+				return client.KindDTD
+			}
+			return client.KindXSD
 		}
 		switch k {
 		case xmltok.Directive:

@@ -519,6 +519,21 @@ func TestSniffKind(t *testing.T) {
 	if k := sniffKind([]byte(doctyped)); k != client.KindXSD {
 		t.Errorf("XSD with a DOCTYPE internal subset sniffed as %s", k)
 	}
+	// An encoding the tokenizer rejects decides nothing by itself: the
+	// XSD goes to its decoder, which reports the encoding, and a DTD
+	// with the same text declaration stays a DTD.
+	const latin1 = `<?xml version="1.0" encoding="ISO-8859-1"?>`
+	latin1XSD := strings.Replace(testXSD, `<?xml version="1.0"?>`, latin1, 1)
+	if k := sniffKind([]byte(latin1XSD)); k != client.KindXSD {
+		t.Errorf("Latin-1 XSD sniffed as %s", k)
+	}
+	if k := sniffKind([]byte(latin1 + "\n" + testDTD)); k != client.KindDTD {
+		t.Errorf("Latin-1 DTD sniffed as %s", k)
+	}
+	_, err := New(Config{}).compileSchema("latin1", "", []byte(latin1XSD))
+	if err == nil || !strings.Contains(err.Error(), `unsupported encoding "ISO-8859-1"`) {
+		t.Errorf("unnamed Latin-1 XSD: err = %v, want the decoder's encoding error", err)
+	}
 }
 
 func TestQueryParam(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"dregex/internal/ast"
 	"dregex/internal/follow"
 	"dregex/internal/parsetree"
-	"dregex/internal/wordgen"
 )
 
 // RandomWord samples a word from L(e) by a random walk over the follow
@@ -104,14 +103,4 @@ func Mutate(r *rand.Rand, t *parsetree.Tree, word []ast.Symbol, edits int) []ast
 		}
 	}
 	return out
-}
-
-// MixedContentWord returns a word of the given length over the first m
-// mixed-content symbols (all of which are accepted by (a1+…+am)*).
-func MixedContentWord(r *rand.Rand, alpha *ast.Alphabet, m, length int) []ast.Symbol {
-	w := make([]ast.Symbol, length)
-	for i := range w {
-		w[i] = alpha.Intern(wordgen.SymbolName(r.Intn(m)))
-	}
-	return w
 }

@@ -113,7 +113,7 @@ func BenchmarkMatchAllCached(b *testing.B) {
 }
 
 func BenchmarkCacheGet(b *testing.B) {
-	// Validator traffic: a hot key set served from the sharded LRU.
+	// Validator traffic: a hot key set served from the LRU.
 	c := dregex.NewCache(1024)
 	keys := make([]string, 32)
 	for i := range keys {
