@@ -3,7 +3,7 @@ BENCH_PATTERN ?= .
 BENCH_TIME ?= 1s
 DATE := $(shell date +%Y%m%d)
 
-.PHONY: all build test bench bench-snapshot bench-check lint vet fmt drevet no-encoding-xml fuzz-smoke serve smoke-server chaos-smoke
+.PHONY: all build test bench bench-snapshot bench-check lint vet fmt drevet no-encoding-xml fuzz-smoke cross-arch serve smoke-server chaos-smoke
 
 all: build
 
@@ -45,6 +45,13 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzLexer -fuzztime $(FUZZTIME) .
 	$(GO) test -run xxx -fuzz FuzzCompile -fuzztime $(FUZZTIME) .
 	$(GO) test -run xxx -fuzz FuzzValidateDoc -fuzztime $(FUZZTIME) ./internal/validate
+
+# cross-arch runs xmltok's word-at-a-time scan off amd64: the tokenizer
+# and validation tests on a 32-bit target, and a vet of the tokenizer for a
+# big-endian one. CI invokes this on every push.
+cross-arch:
+	GOARCH=386 $(GO) test ./internal/xmltok ./internal/validate
+	GOARCH=s390x $(GO) vet ./internal/xmltok
 
 # bench runs the Go benchmark sweep and the benchtab experiment tables,
 # snapshotting both into BENCH_<date>.json for cross-PR comparison. The

@@ -21,6 +21,21 @@
 // encoding/xml tokenizes is never rejected for its names here; the
 // differential fuzz target FuzzXMLTok pins the agreement.
 //
+// Each run of character data and each attribute value is read in one
+// pass. The scan loads 8 bytes per step and tests them together for any
+// byte other than tab, newline or ASCII from space to DEL, '<', '&' and
+// the run's terminator (']' in text, the quote in a value) excluded;
+// words without one are skipped whole. Inside a word with one it steps
+// byte by byte: it decodes and range-checks a non-ASCII rune, checks a
+// ']' for "]]>", and stops at the '<' or quote that ends the run, which
+// becomes a zero-copy token. A reference, a carriage return or any fault
+// (an illegal character, invalid UTF-8, "]]>", '<' in a value, a value
+// cut off by EOF) hands the run, from its start, to the general path,
+// which rewrites text into scratch and reports the fault; tokens, error
+// messages and offsets do not depend on which path read a run. An end
+// tag is first compared with the open element's name; only a mismatch
+// or space before '>' goes through the name scanner.
+//
 // Positions are byte-accurate: every token records the byte offset of
 // its first character, and Position converts any offset to a 1-based
 // line and rune column — multi-byte UTF-8 text does not skew columns,
@@ -30,8 +45,10 @@ package xmltok
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"unicode"
 	"unicode/utf8"
 )
@@ -265,11 +282,10 @@ func (t *Tokenizer) Position(off int) (line, col int) {
 	if off < t.posOff {
 		t.posOff, t.posLine, t.lineStart = 0, 1, 0
 	}
-	for i := t.posOff; i < off; i++ {
-		if t.data[i] == '\n' {
-			t.posLine++
-			t.lineStart = i + 1
-		}
+	seg := t.data[t.posOff:off]
+	if n := bytes.Count(seg, []byte{'\n'}); n > 0 {
+		t.posLine += n
+		t.lineStart = t.posOff + bytes.LastIndexByte(seg, '\n') + 1
 	}
 	t.posOff = off
 	// Resume the rune count at the column cursor when it is on this line.
@@ -428,25 +444,134 @@ func (t *Tokenizer) scanName() (sp span, ok bool) {
 func (t *Tokenizer) scanText() (Kind, error) {
 	d := t.data
 	lo := t.pos
-	hi := len(d)
-	if i := bytes.IndexByte(d[lo:], '<'); i >= 0 {
-		hi = lo + i
-	}
-	// "]]>" is an error in plain character data (allowed in CDATA and in
-	// quoted attribute values). The check runs on raw bytes: a reference
-	// breaking up the three bytes hides them, exactly as encoding/xml's
-	// byte tracking (which resets across references) behaves.
-	if i := bytes.Index(d[lo:hi], []byte("]]>")); i >= 0 {
-		return 0, t.syntaxErr(lo+i, "unescaped ]]> not in CDATA section")
-	}
-	v, err := t.resolve(lo, hi, true)
-	if err != nil {
-		return 0, err
+	hi, plain := t.scanRun(lo, ']')
+	v := valRef{lo, hi, false}
+	if !plain {
+		hi = len(d)
+		if i := bytes.IndexByte(d[lo:], '<'); i >= 0 {
+			hi = lo + i
+		}
+		// "]]>" is an error in plain character data (allowed in CDATA and
+		// in quoted attribute values). The check runs on raw bytes: a
+		// reference breaking up the three bytes hides them, exactly as
+		// encoding/xml's byte tracking (which resets across references)
+		// behaves.
+		if i := bytes.Index(d[lo:hi], []byte("]]>")); i >= 0 {
+			return 0, t.syntaxErr(lo+i, "unescaped ]]> not in CDATA section")
+		}
+		var err error
+		if v, err = t.resolve(lo, hi, true); err != nil {
+			return 0, err
+		}
 	}
 	t.pos = hi
 	t.kind = Text
 	t.content = v
 	return Text, nil
+}
+
+// scanValue scans a quoted attribute value whose opening quote q is just
+// before t.pos, and moves t.pos past the closing quote.
+//
+//dregex:noalloc
+func (t *Tokenizer) scanValue(q byte) (valRef, error) {
+	d := t.data
+	lo := t.pos
+	hi, plain := t.scanRun(lo, q)
+	v := valRef{lo, hi, false}
+	if !plain {
+		qi := bytes.IndexByte(d[lo:], q)
+		if qi < 0 {
+			return valRef{}, t.syntaxErr(len(d), "unexpected EOF")
+		}
+		hi = lo + qi
+		if lt := bytes.IndexByte(d[lo:hi], '<'); lt >= 0 {
+			return valRef{}, t.syntaxErr(lo+lt, "unescaped < inside quoted string")
+		}
+		var err error
+		if v, err = t.resolve(lo, hi, true); err != nil {
+			return valRef{}, err
+		}
+	}
+	t.pos = hi + 1
+	return v, nil
+}
+
+// Byte masks of the word-at-a-time scan: lsb holds 1 and msb 0x80 in
+// every byte of a word.
+const (
+	lsb = 0x0101010101010101
+	msb = 0x8080808080808080
+)
+
+// runStops returns the high bit of every byte of w (8 input bytes,
+// little-endian) that is not tab, newline, or ASCII from space to DEL
+// other than '<', '&' and the byte broadcast in term; all other bits are
+// clear. Each test adds to a byte's low seven bits, which never carries
+// into the next byte, so every byte is judged on its own and the lowest
+// set bit marks the first byte the scan must stop at.
+//
+//dregex:noalloc
+func runStops(w, term uint64) uint64 {
+	v := w &^ msb
+	ok := v + 0x60*lsb                     // v ≥ 0x20
+	ok &= (v ^ '<'*lsb) + 0x7f*lsb         // v ≠ '<'
+	ok &= (v ^ '&'*lsb) + 0x7f*lsb         // v ≠ '&'
+	ok &= (v ^ term) + 0x7f*lsb            // v ≠ term
+	ok |= (v + 0x77*lsb) &^ (v + 0x75*lsb) // v is '\t' or '\n'
+	return (ok &^ w & msb) ^ msb
+}
+
+// scanRun is the one pass over a run of character data (term ']') or an
+// attribute value (term its quote) starting at i. It tests 8 bytes per
+// step and looks at single bytes only where runStops flags one: it
+// decodes and range-checks a non-ASCII rune, checks a ']' for "]]>", and
+// stops at the '<' that ends text or the quote that ends a value. It
+// returns that end (len(data) for text at EOF) with plain set when the
+// run is what resolve would return as is: no reference, no carriage
+// return, no "]]>", no '<' in a value, only legal characters in valid
+// UTF-8. Otherwise plain is false and the caller rescans the run from
+// its start with the general code, which reports every fault in order.
+//
+//dregex:noalloc
+func (t *Tokenizer) scanRun(i int, term byte) (end int, plain bool) {
+	d := t.data
+	text := term == ']'
+	tw := uint64(term) * lsb
+	for {
+		for i+8 <= len(d) {
+			if m := runStops(binary.LittleEndian.Uint64(d[i:]), tw); m != 0 {
+				i += bits.TrailingZeros64(m) >> 3
+				break
+			}
+			i += 8
+		}
+		if i >= len(d) {
+			return i, text
+		}
+		switch b := d[i]; {
+		case b == '<':
+			return i, text
+		case b == term:
+			if !text {
+				return i, true
+			}
+			if i+2 < len(d) && d[i+1] == ']' && d[i+2] == '>' {
+				return i, false
+			}
+			i++
+		case b >= utf8.RuneSelf:
+			r, size := utf8.DecodeRune(d[i:])
+			if r == utf8.RuneError && size == 1 || !isInCharacterRange(r) {
+				return i, false
+			}
+			i += size
+		case textOK[b]:
+			i++
+		default: // '&', '\r' or an illegal control character
+			return i, false
+		}
+	}
 }
 
 func (t *Tokenizer) scanCDATA() (Kind, error) {
@@ -676,20 +801,10 @@ func (t *Tokenizer) scanStart() (Kind, error) {
 			return 0, t.syntaxErr(t.pos, "unquoted or missing attribute value in element")
 		}
 		t.pos++
-		vlo := t.pos
-		rest := d[vlo:]
-		qi := bytes.IndexByte(rest, q)
-		if qi < 0 {
-			return 0, t.syntaxErr(len(d), "unexpected EOF")
-		}
-		if lt := bytes.IndexByte(rest[:qi], '<'); lt >= 0 {
-			return 0, t.syntaxErr(vlo+lt, "unescaped < inside quoted string")
-		}
-		v, err := t.resolve(vlo, vlo+qi, true)
+		v, err := t.scanValue(q)
 		if err != nil {
 			return 0, err
 		}
-		t.pos = vlo + qi + 1
 		t.attrs = append(t.attrs, attrSpan{nameLo: aname.lo, nameHi: aname.hi, val: v})
 	}
 	t.kind = StartElement
@@ -704,6 +819,20 @@ func (t *Tokenizer) scanStart() (Kind, error) {
 //dregex:noalloc
 func (t *Tokenizer) scanEnd() (Kind, error) {
 	d := t.data
+	// Most end tags repeat the open element's name right before '>': one
+	// comparison closes them. Any other name, space before '>' or EOF
+	// takes the general path below.
+	if n := len(t.stack); n > 0 {
+		top := t.stack[n-1]
+		lo, hi := t.pos, t.pos+top.hi-top.lo
+		if hi < len(d) && d[hi] == '>' && bytes.Equal(d[lo:hi], d[top.lo:top.hi]) {
+			t.pos = hi + 1
+			t.stack = t.stack[:n-1]
+			t.kind = EndElement
+			t.name = span{lo, hi}
+			return EndElement, nil
+		}
+	}
 	name, ok := t.scanName()
 	if !ok {
 		if t.pos >= len(d) {
