@@ -56,13 +56,14 @@ cross-arch:
 # bench runs the Go benchmark sweep and the benchtab experiment tables,
 # snapshotting both into BENCH_<date>.json for cross-PR comparison. The
 # sweep covers the root package plus the validator hot path (server
-# handlers, the xmltok tokenizer and the validation driver).
+# handlers, the xmltok tokenizer and the validation driver); the ladder
+# experiment prints the engine sweep Auto's cutoffs are read from.
 BENCH_PKGS := . ./internal/server ./internal/xmltok ./internal/validate
 bench:
 	@mkdir -p .bench_build
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) -benchmem $(BENCH_PKGS) \
 		| tee .bench_build/dregex_bench.txt
-	$(GO) run ./cmd/benchtab -exp e1,e5,e7,e9 | tee .bench_build/dregex_benchtab.txt
+	$(GO) run ./cmd/benchtab -exp e1,e5,e7,e9,ladder | tee .bench_build/dregex_benchtab.txt
 	@printf '{\n  "date": "%s",\n  "go": "%s",\n  "bench": %s,\n  "benchtab": %s\n}\n' \
 		"$(DATE)" \
 		"$$($(GO) version | cut -d' ' -f3)" \
@@ -84,14 +85,17 @@ bench-snapshot: bench
 # pinned zero) fails. CI gates the allocation metrics only — B/op and
 # allocs/op are machine-independent, while ns/op across runner generations
 # is not; run `make bench-check GATE_UNITS=` locally on the machine that
-# wrote the baseline to gate time too.
+# wrote the baseline to gate time too. The pinned run turns asynchronous
+# preemption off: the runtime allocates a few KB around it, which landed
+# as 2-5 B/op on 0-allocs/op benchmarks in about one run in ten, while a
+# real allocation on a pinned path still reads as one.
 BENCH_PINNED := MatcherFresh|CompileSource|MatcherCached|MatchWordInterned|MatchAllCached|CacheGet|NumericStreamInterned|TableVsKore|ServerValidateE2E|ServerValidateMetrics|ServerValidateLimited|XMLTok|ParseWord|LexerStream|ValidateWide|ValidateIDs
 BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
 GATE_UNITS ?= B/op,allocs/op
 bench-check:
 	@test -n "$(BENCH_BASELINE)" || { echo "no committed BENCH_*.json baseline"; exit 1; }
 	@mkdir -p .bench_build
-	$(GO) test -run xxx -bench '$(BENCH_PINNED)' -benchtime 0.5s -benchmem $(BENCH_PKGS) \
+	GODEBUG=asyncpreemptoff=1 $(GO) test -run xxx -bench '$(BENCH_PINNED)' -benchtime 0.5s -benchmem $(BENCH_PKGS) \
 		| tee .bench_build/dregex_bench_ci.txt
 	@printf '{\n  "date": "%s",\n  "go": "%s",\n  "bench": %s\n}\n' \
 		"$(DATE)" \

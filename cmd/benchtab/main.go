@@ -1,13 +1,14 @@
 // Command benchtab prints the experiment tables recorded in EXPERIMENTS.md
 // — wall-clock scaling of the determinism tests (E1), per-symbol matching
 // cost of every engine on one workload (E3–E5 summary), numeric-bound
-// independence (E7), and the synthetic DTD corpus statistics (E9) — and
-// diffs the BENCH_<date>.json snapshots `make bench` writes, so the
-// performance trajectory is comparable PR over PR.
+// independence (E7), the synthetic DTD corpus statistics (E9) and the
+// engine-ladder sweep Auto's cutoffs are read from (ladder) — and diffs
+// the BENCH_<date>.json snapshots `make bench` writes, so the performance
+// trajectory is comparable PR over PR.
 //
 // Usage:
 //
-//	benchtab [-exp e1,e5,e7,e9]
+//	benchtab [-exp e1,e5,e7,e9,ladder]
 //	benchtab -diff OLD.json NEW.json
 //
 // Diff mode parses the `go test -bench` output embedded in both snapshots
@@ -82,6 +83,8 @@ func main() {
 			e7()
 		case "e9":
 			e9()
+		case "ladder":
+			ladder()
 		default:
 			fmt.Printf("unknown experiment %q\n", e)
 		}

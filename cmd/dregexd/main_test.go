@@ -185,6 +185,11 @@ func TestDregexdDrainObservability(t *testing.T) {
 	if _, err := connA.Write([]byte(doc[:half])); err != nil {
 		t.Fatal(err)
 	}
+	// Wait until A is admitted: admission takes the class's in-flight slot
+	// and then a rate token, so once the validate in-flight gauge reads 1,
+	// A holds one of the two burst tokens and the next two validates
+	// split the remaining one and the shed.
+	waitValidateInflight(ctx, t, addr)
 
 	// Drain the bucket: one validate passes on the second burst token, the
 	// next is shed — the limiter is now actively shedding.
@@ -309,6 +314,35 @@ func TestDregexdDrainObservability(t *testing.T) {
 		!strings.Contains(logs, `"schema":"note"`) ||
 		!strings.Contains(logs, `"verdict":"valid"`) {
 		t.Errorf("access log missing drained request line:\n%s", logs)
+	}
+}
+
+// waitValidateInflight polls /metrics, an admin-class endpoint outside
+// the rate bucket, until the validate class's in-flight gauge reads 1.
+func waitValidateInflight(ctx context.Context, t *testing.T, addr string) {
+	t.Helper()
+	for {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/metrics", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("polling /metrics for the validate in-flight gauge: %v", err)
+		}
+		exp, err := obs.ParseExposition(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("polled exposition: %v", err)
+		}
+		if v, ok := exp.Get("dregexd_inflight", obs.L("class", "validate")); ok && v == 1 {
+			return
+		}
+		select {
+		case <-ctx.Done():
+			t.Fatalf("validate in-flight gauge never read 1: %v", ctx.Err())
+		case <-time.After(5 * time.Millisecond):
+		}
 	}
 }
 

@@ -77,7 +77,17 @@ func TestEnginesUnanimous(t *testing.T) {
 		root := ast.DesugarPlus(wordgen.CHARE(r, alpha, 2+r.Intn(5), 4))
 		cases = append(cases, buildDiffCase(t, r, root, alpha))
 	}
+	for k := 1; k <= ladderFamilyMaxK; k++ {
+		// Past-table family: starred k-OREs of about 1100 positions, over
+		// TableBudget, with and without an alternation prefix past c_e 8
+		// (the ladder sweep's shapes), on both sides of Auto's KORE cutoff.
+		for _, depth := range []int{0, 5} {
+			alpha := ast.NewAlphabet()
+			cases = append(cases, buildDiffCase(t, r, wordgen.LadderModel(alpha, 1100, k, depth), alpha))
+		}
+	}
 
+	autoTiers := map[dregex.Algorithm]int{}
 	for ci, c := range cases {
 		c := c
 		t.Run(fmt.Sprintf("case%02d", ci), func(t *testing.T) {
@@ -88,17 +98,22 @@ func TestEnginesUnanimous(t *testing.T) {
 			if !e.IsDeterministic() {
 				t.Fatalf("generator emitted nondeterministic %q (%s)", c.source, e.Rule())
 			}
+			autoTiers[e.AutoAlgorithm()]++
 			algos := []dregex.Algorithm{
-				dregex.Table, dregex.KORE, dregex.Colored, dregex.ColoredBinary,
-				dregex.PathDecomp, dregex.Climbing, dregex.NFA,
+				dregex.Auto, dregex.KORE, dregex.Colored, dregex.ColoredBinary,
+				dregex.PathDecomp, dregex.Climbing,
+			}
+			if e.AutoAlgorithm() == dregex.Table {
+				algos = append(algos, dregex.Table)
 			}
 			if e.Stats().StarFree {
 				algos = append(algos, dregex.StarFreeScan)
 			}
 
-			// Reference verdicts from the k-ORE engine.
+			// Reference verdicts from position-set simulation (the NFA
+			// engine), which no Auto tier runs.
 			ref := make([]bool, len(c.corpus))
-			refM, err := e.Matcher(dregex.KORE)
+			refM, err := e.Matcher(dregex.NFA)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +154,17 @@ func TestEnginesUnanimous(t *testing.T) {
 			}
 		})
 	}
+	// The past-table family must reach both of Auto's §4 tiers.
+	for _, tier := range []dregex.Algorithm{dregex.KORE, dregex.ColoredBinary} {
+		if autoTiers[tier] == 0 {
+			t.Errorf("no case resolves Auto to %v (tiers reached: %v)", tier, autoTiers)
+		}
+	}
 }
+
+// ladderFamilyMaxK bounds the past-table family's occurrence counts: one
+// past K*, the largest k Auto sends to KORE (koreMaxK in matcher.go).
+const ladderFamilyMaxK = 6
 
 // TestEngineWitnessesUnanimous extends the differential test to parse
 // witnesses: every recorded engine must produce the identical position

@@ -238,6 +238,20 @@ func DeepAlternation(alpha *ast.Alphabet, depth, width int) *ast.Node {
 	return build(depth)
 }
 
+// LadderModel builds the shape the engine-ladder sweep (benchtab -exp
+// ladder) measures: a starred KOccurrence block of about `positions`
+// positions in which each symbol occurs k times, behind a
+// DeepAlternation(depth, 2) prefix when depth > 0. The prefix raises the
+// alternation depth c_e while adding few positions (2^depth or so); the
+// star makes arbitrarily long words.
+func LadderModel(alpha *ast.Alphabet, positions, k, depth int) *ast.Node {
+	e := KOccurrence(alpha, max(1, positions/k-1), k)
+	if depth > 0 {
+		e = ast.Cat(DeepAlternation(alpha, depth, 2), e)
+	}
+	return ast.Star(e)
+}
+
 // CHARE builds a random chain regular expression (Bex et al.; §1 related
 // work): a sequence of factors (a1+…+an) each optionally extended with *,
 // ? or +, using each symbol at most once — hence deterministic.

@@ -21,11 +21,13 @@ type Algorithm int
 
 // Matching algorithms. Auto picks the dense-table DFA whenever the
 // expression fits the TableBudget (real-world content models are tiny
-// 1-OREs, where a table transition is one indexed load), then falls back
-// per the paper's guidance: the k-ORE simulator when every symbol occurs
-// at most twice, the path-decomposition simulator while the alternation
-// depth stays small (it never exceeds 4 in real DTD corpora), and the
-// colored-ancestor simulator otherwise.
+// 1-OREs, where a table transition is one indexed load). Past the budget
+// it takes the shortest ladder the engine sweep (benchtab -exp ladder)
+// measured: the k-ORE simulator while no symbol occurs more than koreMaxK
+// times, and the colored-ancestor simulator with binary-search
+// predecessors otherwise. PathDecomp won one swept model, a near-tie on
+// bytes, and the vEB-backed Colored none, so Auto picks neither; like
+// every engine, they stay selectable explicitly.
 const (
 	Auto Algorithm = iota
 	// Table is the flat-table DFA: the Glushkov automaton of a
@@ -75,19 +77,24 @@ func tableEligible(st Stats) bool {
 		states*states <= TableBudget
 }
 
+// koreMaxK is K*, the largest occurrence bound k at which the ladder sweep
+// (benchtab -exp ladder, recorded in BENCH_20261019.json) found KORE the
+// winner of every swept model at every k' ≤ k: fastest, or within 10% of
+// the fastest with fewer bytes. It is a constant, so KORE's O(k) per
+// symbol keeps matching linear.
+const koreMaxK = 5
+
 // autoSelect resolves Auto from the compile-time stats: the dense-table
-// fast path while it fits TableBudget, then the paper's guidance (see the
-// Algorithm constants).
+// fast path while it fits TableBudget, KORE while k ≤ koreMaxK, and
+// ColoredBinary, the sweep's winner past koreMaxK, otherwise.
 func autoSelect(st Stats) Algorithm {
 	switch {
 	case tableEligible(st):
 		return Table
-	case st.K <= 2:
+	case st.K <= koreMaxK:
 		return KORE
-	case st.AlternationDepth <= 8:
-		return PathDecomp
 	default:
-		return Colored
+		return ColoredBinary
 	}
 }
 
