@@ -2,6 +2,7 @@ package dregex
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -80,6 +81,55 @@ func TestExpansionBudget(t *testing.T) {
 	e = MustCompile("((a)+)+", DTD)
 	if e.IsDeterministic() || e.Rule() != "P2" {
 		t.Errorf("((a)+)+: deterministic=%v rule=%q, want nondeterministic by P2", e.IsDeterministic(), e.Rule())
+	}
+}
+
+// TestNestingBound: the grammar recurses once per group, so a group
+// opened inside MaxNesting others fails fast with ErrNesting in both
+// syntaxes, while MaxNesting levels, parenthesized or nested concatenation
+// a tree that deep, still compile.
+func TestNestingBound(t *testing.T) {
+	nested := func(n int, open, sep string) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "%sa%d%s", open, i, sep)
+		}
+		b.WriteString("z")
+		b.WriteString(strings.Repeat(")", n))
+		return b.String()
+	}
+	for _, src := range []string{
+		strings.Repeat("(", MaxNesting) + "a" + strings.Repeat(")", MaxNesting),
+		nested(MaxNesting, "(", ", "),
+	} {
+		e, err := Compile(src, DTD)
+		if err != nil {
+			t.Fatalf("%d nested groups: %v", MaxNesting, err)
+		}
+		if _, err := e.Matcher(Auto); err != nil {
+			t.Fatalf("%d nested groups: Matcher: %v", MaxNesting, err)
+		}
+	}
+	if e := MustCompile(nested(MaxNesting, "(", ", "), DTD); e.Stats().Depth < MaxNesting {
+		t.Errorf("nested concatenation: tree depth %d, want ≥ %d", e.Stats().Depth, MaxNesting)
+	}
+	if _, err := Compile(strings.Repeat("(", MaxNesting)+"a"+strings.Repeat(")", MaxNesting), Math); err != nil {
+		t.Errorf("%d nested groups in math notation: %v", MaxNesting, err)
+	}
+	for _, n := range []int{MaxNesting + 1, 1_000_000} {
+		src := strings.Repeat("(", n) + "a" + strings.Repeat(")", n)
+		start := time.Now()
+		_, err := Compile(src, DTD)
+		_, nerr := CompileNumeric(src, XSD)
+		_, merr := Compile(src, Math)
+		for _, err := range []error{err, nerr, merr} {
+			if !errors.Is(err, ErrNesting) {
+				t.Errorf("%d nested groups: %v, want ErrNesting", n, err)
+			}
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("rejecting %d nested groups took %v", n, d)
+		}
 	}
 }
 

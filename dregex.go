@@ -130,6 +130,17 @@ const ExpansionBudget = ast.ExpansionBudget
 // wrap it, so match it with errors.Is.
 var ErrExpansionBudget = ast.ErrExpansionBudget
 
+// MaxNesting bounds the groups an expression may have open at once:
+// Compile and CompileNumeric fail with ErrNesting on a group opened inside
+// MaxNesting others, so a deeply nested source cannot exhaust the stack of
+// the grammar, which recurses once per group.
+const MaxNesting = ast.MaxNesting
+
+// ErrNesting is the error Compile and CompileNumeric return for an
+// expression nested deeper than MaxNesting. Schema compilers wrap it, so
+// match it with errors.Is.
+var ErrNesting = ast.ErrNesting
+
 // Compile parses, normalizes (rules R1–R3 of the paper) and preprocesses an
 // expression: LCA structures, the Lemma 2.3 pointers, the §3.1 skeleta and
 // the linear determinism test all run here, in O(|e|) total. The e+

@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"errors"
 	"fmt"
 	"unicode"
 	"unicode/utf8"
@@ -21,6 +22,16 @@ func (e *ParseError) Error() string {
 // bounds are stored as int32 in the parse tree, whose largest value,
 // Unbounded, stands for ∞.
 const MaxBound = Unbounded - 1
+
+// MaxNesting bounds the groups an expression may have open at once. The
+// grammar recurses once per '(', so without a bound a source of nested
+// groups takes stack in proportion to its length; content models nest a
+// few levels.
+const MaxNesting = 1000
+
+// ErrNesting is returned by AppendParse for an expression that opens a
+// group inside MaxNesting open ones.
+var ErrNesting = errors.New("ast: groups nest more than 1000 deep")
 
 // Notation selects one of the two concrete syntaxes of the grammar.
 type Notation uint8
@@ -82,7 +93,8 @@ func parseNode(input string, alpha *Alphabet, nt Notation) (*Node, error) {
 // in postfix order. It is the only grammar of the package: ParseMath and
 // ParseDTD build their pointer trees from its records, and the compile
 // pipeline (parsetree.Parse) normalizes them without building nodes.
-// Bounds above MaxBound are syntax errors at the number's offset.
+// Bounds above MaxBound are syntax errors at the number's offset; a group
+// nested past MaxNesting fails with ErrNesting.
 func AppendParse(dst []Rec, input string, alpha *Alphabet, nt Notation) ([]Rec, error) {
 	p := parser{input: input, alpha: alpha, math: nt == MathNotation, out: dst}
 	err := p.parseTop()
@@ -115,6 +127,7 @@ type parser struct {
 	alpha *Alphabet
 	math  bool
 	out   []Rec
+	depth int // groups open
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
@@ -327,6 +340,10 @@ func (p *parser) parseBase() error {
 	case r == 0:
 		return p.errf("unexpected end of expression")
 	case r == '(':
+		if p.depth == MaxNesting {
+			return fmt.Errorf("%w (at offset %d)", ErrNesting, p.pos)
+		}
+		p.depth++
 		p.advance()
 		if err := p.parseUnion(); err != nil {
 			return err
@@ -336,6 +353,7 @@ func (p *parser) parseBase() error {
 			return p.errf("expected ')'")
 		}
 		p.advance()
+		p.depth--
 		return nil
 	case r == '#' || r == '$':
 		return p.errf("symbol %q is reserved by rule (R1)", r)

@@ -125,8 +125,8 @@ var ErrIterUnsupported = errors.New("parsetree: numeric iteration requires Build
 // record buffers are pooled, so the tree's own arrays are the only
 // allocations that grow with the expression. numeric admits iterations
 // e{i,j} (BuildNumeric's input); without it they are ErrIterUnsupported.
-// Errors are the grammar's *ast.ParseError, ast.ErrExpansionBudget and
-// ErrIterUnsupported.
+// Errors are the grammar's *ast.ParseError and ast.ErrNesting,
+// ast.ErrExpansionBudget and ErrIterUnsupported.
 func Parse(source string, nt ast.Notation, numeric bool) (*Tree, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"dregex"
 	"dregex/client"
 )
 
@@ -553,6 +554,46 @@ func TestQueryParam(t *testing.T) {
 		if got := queryParam(c.raw, c.key); got != c.want {
 			t.Errorf("queryParam(%q, %q) = %q, want %q", c.raw, c.key, got, c.want)
 		}
+	}
+}
+
+// TestNestingRejected: a source whose groups nest past dregex.MaxNesting
+// is the input's own compile error, answered 422 on /v1/compile and on
+// PUT /v1/schemas for DTD and XSD alike, and the server keeps answering.
+// The grammar recurses once per group: without the bound the million-deep
+// body would overflow the stack, which no recovery middleware can catch,
+// and end the process.
+func TestNestingRejected(t *testing.T) {
+	_, _, c := newTestServer(t)
+	ctx := context.Background()
+	const n = 1_000_000
+	deep := strings.Repeat("(", n) + "a" + strings.Repeat(")", n)
+	want422 := func(what string, err error) {
+		t.Helper()
+		if ae, ok := err.(*client.APIError); !ok || ae.Status != http.StatusUnprocessableEntity ||
+			!strings.Contains(ae.Msg, dregex.ErrNesting.Error()) {
+			t.Errorf("%s: %.200v, want 422 with %q", what, err, dregex.ErrNesting)
+		}
+	}
+	for _, syntax := range []string{client.SyntaxDTD, client.SyntaxMath} {
+		_, err := c.Compile(ctx, client.CompileRequest{Expr: deep, Syntax: syntax})
+		want422("compile of "+syntax+" nested 1M deep", err)
+	}
+	_, err := c.PutSchema(ctx, "deep", client.KindDTD, []byte("<!ELEMENT r "+deep+">\n<!ELEMENT a EMPTY>"))
+	want422("PUT of a DTD nested 1M deep", err)
+	const xn = 100_000
+	xsd := `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"><xs:element name="r"><xs:complexType>` +
+		strings.Repeat("<xs:sequence>", xn) + `<xs:element name="a"/>` + strings.Repeat("</xs:sequence>", xn) +
+		`</xs:complexType></xs:element></xs:schema>`
+	_, err = c.PutSchema(ctx, "deep", client.KindXSD, []byte(xsd))
+	want422("PUT of an XSD nested 100k deep", err)
+
+	if _, err := c.PutSchema(ctx, "deep", client.KindDTD, []byte(testDTD)); err != nil {
+		t.Fatalf("PUT after the rejected ones: %v", err)
+	}
+	resp, err := c.Compile(ctx, client.CompileRequest{Expr: "(a, b)*", Syntax: client.SyntaxDTD})
+	if err != nil || !resp.Deterministic {
+		t.Fatalf("compile after the rejected ones: %+v, %v", resp, err)
 	}
 }
 

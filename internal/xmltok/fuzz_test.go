@@ -113,6 +113,9 @@ func FuzzXMLTok(f *testing.F) {
 		"<a><b></b  ></a >tail",
 		"<a>\x01</a>",
 		"<r>&uni;<v w='&#13;&#10;'/></r>",
+		"<a>\r\n  x\r\ny\r<b c='1'/>\r\n</a>\r\n",
+		"<a b='x&amp;y&#x41;&e;' c=\"&quot;&#13;&cr;\r\n\">&amps;</a>",
+		"<a><![CDATA[x\r\ny\r]]>&#10;\r<![CDATA[\r]]></a>",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

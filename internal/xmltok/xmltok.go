@@ -21,20 +21,19 @@
 // encoding/xml tokenizes is never rejected for its names here; the
 // differential fuzz target FuzzXMLTok pins the agreement.
 //
-// Each run of character data and each attribute value is read in one
-// pass. The scan loads 8 bytes per step and tests them together for any
-// byte other than tab, newline or ASCII from space to DEL, '<', '&' and
-// the run's terminator (']' in text, the quote in a value) excluded;
-// words without one are skipped whole. Inside a word with one it steps
-// byte by byte: it decodes and range-checks a non-ASCII rune, checks a
-// ']' for "]]>", and stops at the '<' or quote that ends the run, which
-// becomes a zero-copy token. A reference, a carriage return or any fault
-// (an illegal character, invalid UTF-8, "]]>", '<' in a value, a value
-// cut off by EOF) hands the run, from its start, to the general path,
-// which rewrites text into scratch and reports the fault; tokens, error
-// messages and offsets do not depend on which path read a run. An end
-// tag is first compared with the open element's name; only a mismatch
-// or space before '>' goes through the name scanner.
+// Each run of character data, each CDATA section and each attribute
+// value is read by one scan, 8 bytes per step: a word without a byte to
+// look at (anything but tab, newline and ASCII from space to DEL, or '<',
+// '&' and the run's terminator) is skipped whole. A run with no reference
+// and no carriage return becomes a zero-copy token. At the first of
+// either, the bytes before it go to scratch once; the scan expands the
+// reference, range-checking only its replacement text, or turns "\r\n"
+// and a lone '\r' into '\n', and goes on, appending clean spans whole.
+// Faults are reported where the scan meets them, but a fault of the whole
+// run ("]]>" in text, a value without its closing quote or with a '<', a
+// CDATA section without "]]>") comes first. An end tag is first compared
+// with the open element's name; only a mismatch or space before '>' goes
+// through the name scanner.
 //
 // Positions are byte-accurate: every token records the byte offset of
 // its first character, and Position converts any offset to a 1-based
@@ -371,7 +370,7 @@ func (t *Tokenizer) Next() (Kind, error) {
 	}
 	t.tokOff = t.pos
 	if t.data[t.pos] != '<' {
-		return t.scanText()
+		return t.scanText(false)
 	}
 	t.pos++
 	if t.pos >= len(t.data) {
@@ -440,61 +439,14 @@ func (t *Tokenizer) scanName() (sp span, ok bool) {
 	return sp, true
 }
 
-//dregex:noalloc
-func (t *Tokenizer) scanText() (Kind, error) {
-	d := t.data
-	lo := t.pos
-	hi, plain := t.scanRun(lo, ']')
-	v := valRef{lo, hi, false}
-	if !plain {
-		hi = len(d)
-		if i := bytes.IndexByte(d[lo:], '<'); i >= 0 {
-			hi = lo + i
-		}
-		// "]]>" is an error in plain character data (allowed in CDATA and
-		// in quoted attribute values). The check runs on raw bytes: a
-		// reference breaking up the three bytes hides them, exactly as
-		// encoding/xml's byte tracking (which resets across references)
-		// behaves.
-		if i := bytes.Index(d[lo:hi], []byte("]]>")); i >= 0 {
-			return 0, t.syntaxErr(lo+i, "unescaped ]]> not in CDATA section")
-		}
-		var err error
-		if v, err = t.resolve(lo, hi, true); err != nil {
-			return 0, err
-		}
-	}
-	t.pos = hi
-	t.kind = Text
-	t.content = v
-	return Text, nil
-}
-
-// scanValue scans a quoted attribute value whose opening quote q is just
-// before t.pos, and moves t.pos past the closing quote.
+// scanText reads a run of character data at t.pos, or with cdata set the
+// body of a CDATA section, whose "<![CDATA[" is just before t.pos.
 //
 //dregex:noalloc
-func (t *Tokenizer) scanValue(q byte) (valRef, error) {
-	d := t.data
-	lo := t.pos
-	hi, plain := t.scanRun(lo, q)
-	v := valRef{lo, hi, false}
-	if !plain {
-		qi := bytes.IndexByte(d[lo:], q)
-		if qi < 0 {
-			return valRef{}, t.syntaxErr(len(d), "unexpected EOF")
-		}
-		hi = lo + qi
-		if lt := bytes.IndexByte(d[lo:hi], '<'); lt >= 0 {
-			return valRef{}, t.syntaxErr(lo+lt, "unescaped < inside quoted string")
-		}
-		var err error
-		if v, err = t.resolve(lo, hi, true); err != nil {
-			return valRef{}, err
-		}
-	}
-	t.pos = hi + 1
-	return v, nil
+func (t *Tokenizer) scanText(cdata bool) (Kind, error) {
+	v, err := t.scanRun(']', cdata)
+	t.kind, t.content = Text, v
+	return Text, err
 }
 
 // Byte masks of the word-at-a-time scan: lsb holds 1 and msb 0x80 in
@@ -522,56 +474,186 @@ func runStops(w, term uint64) uint64 {
 	return (ok &^ w & msb) ^ msb
 }
 
-// scanRun is the one pass over a run of character data (term ']') or an
-// attribute value (term its quote) starting at i. It tests 8 bytes per
-// step and looks at single bytes only where runStops flags one: it
-// decodes and range-checks a non-ASCII rune, checks a ']' for "]]>", and
-// stops at the '<' that ends text or the quote that ends a value. It
-// returns that end (len(data) for text at EOF) with plain set when the
-// run is what resolve would return as is: no reference, no carriage
-// return, no "]]>", no '<' in a value, only legal characters in valid
-// UTF-8. Otherwise plain is false and the caller rescans the run from
-// its start with the general code, which reports every fault in order.
+// skipRun returns the first byte at or after i that runStops flags, or
+// where the last whole word of d ends. As a leaf, its loop keeps its
+// state in registers and needs no bounds checks.
 //
 //dregex:noalloc
-func (t *Tokenizer) scanRun(i int, term byte) (end int, plain bool) {
+func skipRun(d []byte, i int, tw uint64) int {
+	w := d[i:]
+	for len(w) >= 8 {
+		if m := runStops(binary.LittleEndian.Uint64(w), tw); m != 0 {
+			return len(d) - len(w) + bits.TrailingZeros64(m)>>3
+		}
+		w = w[8:]
+	}
+	return len(d) - len(w)
+}
+
+// scanRun reads the run at t.pos and leaves t.pos past its end: character
+// data (term ']') up to '<' or EOF, a CDATA section's body (term ']',
+// cdata set) up to "]]>", or an attribute value (term its quote) up to
+// the quote. It looks at single bytes only where skipRun stops: it decodes
+// and range-checks a non-ASCII rune, checks a ']' for "]]>" and takes '<'
+// and '&' literally in CDATA. The run stays in the input until its first
+// reference or carriage return; from there it is built in scratch from
+// slo on, w is the first byte not yet copied, and w > lo marks the run as
+// rewritten.
+//
+//dregex:noalloc
+func (t *Tokenizer) scanRun(term byte, cdata bool) (valRef, error) {
 	d := t.data
-	text := term == ']'
+	lo := t.pos
+	value := term != ']'
 	tw := uint64(term) * lsb
+	i, w, slo := lo, lo, len(t.scratch)
+scan:
 	for {
-		for i+8 <= len(d) {
+		// Short runs end inside their first word: test it here, where a
+		// call would cost more than the test, and call skipRun past it.
+		if i+8 <= len(d) {
 			if m := runStops(binary.LittleEndian.Uint64(d[i:]), tw); m != 0 {
 				i += bits.TrailingZeros64(m) >> 3
-				break
+			} else {
+				i = skipRun(d, i+8, tw)
 			}
-			i += 8
 		}
 		if i >= len(d) {
-			return i, text
+			if value || cdata {
+				return valRef{}, t.runFault(lo, term, cdata, i, faultRun, 0)
+			}
+			t.pos = i
+			break
 		}
 		switch b := d[i]; {
 		case b == '<':
-			return i, text
+			if value {
+				return valRef{}, t.runFault(lo, term, cdata, i, faultRun, 0)
+			}
+			if !cdata {
+				t.pos = i
+				break scan
+			}
+			i++
 		case b == term:
-			if !text {
-				return i, true
+			if value {
+				t.pos = i + 1
+				break scan
 			}
 			if i+2 < len(d) && d[i+1] == ']' && d[i+2] == '>' {
-				return i, false
+				if !cdata {
+					return valRef{}, t.runFault(lo, term, cdata, i, faultRun, 0)
+				}
+				t.pos = i + 3
+				break scan
 			}
 			i++
 		case b >= utf8.RuneSelf:
 			r, size := utf8.DecodeRune(d[i:])
-			if r == utf8.RuneError && size == 1 || !isInCharacterRange(r) {
-				return i, false
+			if r == utf8.RuneError && size == 1 {
+				return valRef{}, t.runFault(lo, term, cdata, i, faultUTF8, 0)
+			}
+			if !isInCharacterRange(r) {
+				return valRef{}, t.runFault(lo, term, cdata, i, faultChar, r)
 			}
 			i += size
-		case textOK[b]:
+		case textOK[b] || b == '&' && cdata:
 			i++
-		default: // '&', '\r' or an illegal control character
-			return i, false
+		case b == '&' || b == '\r':
+			next, f, r := t.rewrite(w, i)
+			if f != faultNone {
+				return valRef{}, t.runFault(lo, term, cdata, i, f, r)
+			}
+			i, w = next, next
+		default:
+			return valRef{}, t.runFault(lo, term, cdata, i, faultChar, rune(b))
 		}
 	}
+	if w == lo {
+		return valRef{lo, i, false}, nil
+	}
+	t.scratch = append(t.scratch, d[w:i]...)
+	return valRef{slo, len(t.scratch), true}, nil
+}
+
+// rewrite appends the run's bytes [w,i) to scratch, then what replaces
+// the reference or carriage return at i, and returns the position after
+// it, or the reference's fault. Replacement text goes in verbatim, as
+// encoding/xml inserts it: a '\r' in it stays, and so does a '\n' after
+// the ';'.
+//
+//dregex:noalloc
+func (t *Tokenizer) rewrite(w, i int) (next int, f fault, r rune) {
+	d := t.data
+	s := append(t.scratch, d[w:i]...)
+	if d[i] == '\r' {
+		t.scratch = append(s, '\n')
+		if i+1 < len(d) && d[i+1] == '\n' {
+			return i + 2, faultNone, 0
+		}
+		return i + 1, faultNone, 0
+	}
+	t.scratch, next, f, r = t.appendReference(s, i)
+	return next, f, r
+}
+
+// A fault is what the scan found wrong at an offset in a run.
+type fault uint8
+
+const (
+	faultNone fault = iota
+	faultRun        // the run is cut off or broken; runFault finds where
+	faultChar       // a character outside the XML Char production
+	faultUTF8
+	faultRef  // a malformed reference
+	faultName // a reference to an undeclared entity
+)
+
+// runFault reports fault f at off in the run at lo, or first a fault of
+// the whole run wherever it lies, in the order the byte-at-a-time scans
+// used: "]]>" in text; a missing closing quote, then '<', in a value; a
+// missing "]]>" in CDATA. A faultChar carries its rune in r.
+//
+//dregex:coldalloc
+func (t *Tokenizer) runFault(lo int, term byte, cdata bool, off int, f fault, r rune) error {
+	d := t.data
+	switch {
+	case cdata:
+		if bytes.Index(d[lo:], []byte("]]>")) < 0 {
+			return t.syntaxErr(len(d), "unexpected EOF in CDATA section")
+		}
+	case term == ']':
+		hi := len(d)
+		if k := bytes.IndexByte(d[lo:], '<'); k >= 0 {
+			hi = lo + k
+		}
+		// On raw bytes: a reference breaking up the three hides them, as
+		// in encoding/xml, whose byte tracking resets across references.
+		if k := bytes.Index(d[lo:hi], []byte("]]>")); k >= 0 {
+			return t.syntaxErr(lo+k, "unescaped ]]> not in CDATA section")
+		}
+	default:
+		k := bytes.IndexByte(d[lo:], term)
+		if k < 0 {
+			return t.syntaxErr(len(d), "unexpected EOF")
+		}
+		if k := bytes.IndexByte(d[lo:lo+k], '<'); k >= 0 {
+			return t.syntaxErr(lo+k, "unescaped < inside quoted string")
+		}
+	}
+	switch f {
+	case faultChar:
+		return t.syntaxErr(off, "illegal character code %U", r)
+	case faultUTF8:
+		return t.syntaxErr(off, "invalid UTF-8")
+	case faultName:
+		j := off + 1
+		for j < len(d) && nameByte[d[j]] {
+			j++
+		}
+		return t.syntaxErr(off, "invalid character entity &%s;", d[off+1:j])
+	}
+	return t.syntaxErr(off, "invalid character entity") // faultRef
 }
 
 func (t *Tokenizer) scanCDATA() (Kind, error) {
@@ -586,19 +668,7 @@ func (t *Tokenizer) scanCDATA() (Kind, error) {
 		}
 		t.pos++
 	}
-	lo := t.pos
-	end := bytes.Index(d[lo:], []byte("]]>"))
-	if end < 0 {
-		return 0, t.syntaxErr(len(d), "unexpected EOF in CDATA section")
-	}
-	v, err := t.resolve(lo, lo+end, false)
-	if err != nil {
-		return 0, err
-	}
-	t.pos = lo + end + 3
-	t.kind = Text
-	t.content = v
-	return Text, nil
+	return t.scanText(true)
 }
 
 func (t *Tokenizer) scanComment() (Kind, error) {
@@ -801,7 +871,7 @@ func (t *Tokenizer) scanStart() (Kind, error) {
 			return 0, t.syntaxErr(t.pos, "unquoted or missing attribute value in element")
 		}
 		t.pos++
-		v, err := t.scanValue(q)
+		v, err := t.scanRun(q, false)
 		if err != nil {
 			return 0, err
 		}
@@ -864,170 +934,73 @@ func (t *Tokenizer) scanEnd() (Kind, error) {
 	return EndElement, nil
 }
 
-// resolve produces the character data of [lo,hi): a zero-copy input
-// range when no reference or carriage return occurs, a scratch range
-// otherwise. It validates every rune against the XML character range.
-// entities=false (CDATA) leaves '&' literal.
-//
-//dregex:noalloc
-func (t *Tokenizer) resolve(lo, hi int, entities bool) (valRef, error) {
-	d := t.data
-	for i := lo; i < hi; {
-		b := d[i]
-		if textOK[b] {
-			i++
-			continue
-		}
-		if b >= 0x80 {
-			r, size := utf8.DecodeRune(d[i:hi])
-			if r == utf8.RuneError && size == 1 {
-				return valRef{}, t.syntaxErr(i, "invalid UTF-8")
-			}
-			if !isInCharacterRange(r) {
-				return valRef{}, t.syntaxErr(i, "illegal character code %U", r)
-			}
-			i += size
-			continue
-		}
-		if b == '&' {
-			if !entities {
-				i++
-				continue
-			}
-			return t.resolveSlow(lo, hi, entities)
-		}
-		if b == '\r' {
-			return t.resolveSlow(lo, hi, entities)
-		}
-		return valRef{}, t.syntaxErr(i, "illegal character code %U", rune(b))
-	}
-	return valRef{lo, hi, false}, nil
-}
+// predefined holds the five predefined entities, which SetEntities
+// cannot override.
+var predefined = map[string]string{"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": `"`}
 
-// resolveSlow rewrites [lo,hi) into scratch: references expanded, \r and
-// \r\n rewritten to \n (reference replacement text is inserted verbatim,
-// and resets the \r state, exactly as encoding/xml does). The result is
-// then character-range checked as a whole, so entity replacement text is
-// validated too.
-func (t *Tokenizer) resolveSlow(lo, hi int, entities bool) (valRef, error) {
-	d := t.data
-	s := t.scratch
-	slo := len(s)
-	prevCR := false
-	for i := lo; i < hi; {
-		b := d[i]
-		switch {
-		case b == '&' && entities:
-			var err error
-			s, i, err = t.appendReference(s, i, hi)
-			if err != nil {
-				t.scratch = s
-				return valRef{}, err
-			}
-			prevCR = false
-		case b == '\r':
-			s = append(s, '\n')
-			prevCR = true
-			i++
-		case b == '\n' && prevCR:
-			prevCR = false
-			i++
-		default:
-			s = append(s, b)
-			prevCR = false
-			i++
-		}
-	}
-	t.scratch = s
-	if err := t.checkChars(s[slo:], lo); err != nil {
-		return valRef{}, err
-	}
-	return valRef{slo, len(s), true}, nil
-}
-
-// checkChars validates resolved text (the scratch path; the zero-copy
-// path validates inline). Errors position at errOff, the segment start.
-func (t *Tokenizer) checkChars(b []byte, errOff int) error {
-	for len(b) > 0 {
-		r, size := utf8.DecodeRune(b)
-		if r == utf8.RuneError && size == 1 {
-			return t.syntaxErr(errOff, "invalid UTF-8")
-		}
-		if !isInCharacterRange(r) {
-			return t.syntaxErr(errOff, "illegal character code %U", r)
-		}
-		b = b[size:]
-	}
-	return nil
-}
-
-// appendReference expands the reference starting at i ('&') within
-// [i,hi), appending its replacement to s; it returns the position past
-// the ';'. Character references parse in decimal or (with an 'x') hex,
-// cap at unicode.MaxRune, and encode surrogates as U+FFFD — the exact
-// outcome of encoding/xml's string(rune(n)). Named references try the
-// five predefined entities first, then the SetEntities map.
-func (t *Tokenizer) appendReference(s []byte, i, hi int) ([]byte, int, error) {
+// appendReference expands the reference starting at i ('&'), appending
+// its replacement text to s, and returns the position past the ';'.
+// Character references parse in decimal or (with an 'x') hex, cap at
+// unicode.MaxRune, and encode surrogates as U+FFFD — the exact outcome of
+// encoding/xml's string(rune(n)). Named references try the predefined
+// entities first, then the SetEntities map. The scan does not read
+// replacement text, so it is range-checked here. A malformed or
+// undeclared reference or an illegal replacement returns a fault instead,
+// with the illegal rune for faultChar.
+func (t *Tokenizer) appendReference(s []byte, i int) ([]byte, int, fault, rune) {
 	d := t.data
 	j := i + 1
-	if j < hi && d[j] == '#' {
+	if j < len(d) && d[j] == '#' {
 		j++
 		base := uint64(10)
-		if j < hi && d[j] == 'x' {
-			base = 16
-			j++
+		if j < len(d) && d[j] == 'x' {
+			base, j = 16, j+1
 		}
-		start := j
-		var n uint64
-		for j < hi {
-			b := d[j]
-			var v uint64
-			switch {
-			case '0' <= b && b <= '9':
-				v = uint64(b - '0')
-			case base == 16 && 'a' <= b && b <= 'f':
-				v = uint64(b-'a') + 10
-			case base == 16 && 'A' <= b && b <= 'F':
-				v = uint64(b-'A') + 10
-			default:
-				goto doneDigits
+		start, n := j, uint64(0)
+		for ; j < len(d); j++ {
+			v := uint64(d[j] - '0')
+			if v > 9 {
+				v = uint64(d[j]|0x20-'a') + 10 // past 15 unless a hex letter
 			}
-			n = n*base + v
-			if n > unicode.MaxRune {
-				n = unicode.MaxRune + 1 // saturate: invalid either way
+			if v >= base {
+				break
 			}
-			j++
+			n = min(n*base+v, unicode.MaxRune+1) // saturate: invalid either way
 		}
-	doneDigits:
-		if j == start || j >= hi || d[j] != ';' || n > unicode.MaxRune {
-			return s, 0, t.syntaxErr(i, "invalid character entity")
+		r := rune(n)
+		switch {
+		case j == start || j >= len(d) || d[j] != ';' || n > unicode.MaxRune:
+			return s, 0, faultRef, 0
+		case utf8.ValidRune(r) && !isInCharacterRange(r):
+			return s, 0, faultChar, r
 		}
-		return utf8.AppendRune(s, rune(n)), j + 1, nil
+		return utf8.AppendRune(s, r), j + 1, faultNone, 0
 	}
 	start := j
-	for j < hi && nameByte[d[j]] {
+	for j < len(d) && nameByte[d[j]] {
 		j++
 	}
-	if j == start || j >= hi || d[j] != ';' {
-		return s, 0, t.syntaxErr(i, "invalid character entity")
+	if j == start || j >= len(d) || d[j] != ';' {
+		return s, 0, faultRef, 0
 	}
-	name := d[start:j]
-	switch string(name) { // compiles to allocation-free comparisons
-	case "lt":
-		return append(s, '<'), j + 1, nil
-	case "gt":
-		return append(s, '>'), j + 1, nil
-	case "amp":
-		return append(s, '&'), j + 1, nil
-	case "apos":
-		return append(s, '\''), j + 1, nil
-	case "quot":
-		return append(s, '"'), j + 1, nil
+	v, ok := predefined[string(d[start:j])] // zero-alloc map probes
+	if !ok {
+		v, ok = t.entities[string(d[start:j])]
 	}
-	if v, ok := t.entities[string(name)]; ok { // zero-alloc map probe
-		return append(s, v...), j + 1, nil
+	if !ok {
+		return s, 0, faultName, 0
 	}
-	return s, 0, t.syntaxErr(i, "invalid character entity &%s;", name)
+	for k := 0; k < len(v); {
+		r, size := utf8.DecodeRuneInString(v[k:])
+		if r == utf8.RuneError && size == 1 {
+			return s, 0, faultUTF8, 0
+		}
+		if !isInCharacterRange(r) {
+			return s, 0, faultChar, r
+		}
+		k += size
+	}
+	return append(s, v...), j + 1, faultNone, 0
 }
 
 // ReadAll drains r into buf (reusing its capacity), for validators that

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unicode"
 	"unicode/utf8"
 )
 
@@ -89,10 +90,45 @@ func TestCRNormalization(t *testing.T) {
 }
 
 func TestCDATA(t *testing.T) {
-	got := tokens(t, "<a>x<![CDATA[a&lt;]]b<>]]>y</a>", nil)
-	want := []string{"<a>", "T:x", "T:a&lt;]]b<>", "T:y", "</a>"}
+	got := tokens(t, "<a>x<![CDATA[a&lt;]]b<>]]>y<![CDATA[p\r\nq\rr&amp;\r]]></a>", nil)
+	want := []string{"<a>", "T:x", "T:a&lt;]]b<>", "T:y", "T:p\nq\nr&amp;\n", "</a>"}
 	if strings.Join(got, "|") != strings.Join(want, "|") {
 		t.Errorf("got %q want %q", got, want)
+	}
+}
+
+// TestEntityReplacementChecked: the scan does not read replacement text,
+// so a reference's expansion is range-checked on its own and a fault in
+// it is reported at the '&'. An entity value that is not valid UTF-8 by
+// itself fails even where the bytes after the reference would complete
+// its last sequence (encoding/xml, which checks the joined text, reads
+// "é" there).
+func TestEntityReplacementChecked(t *testing.T) {
+	ents := map[string]string{"ctl": "a\x01", "half": "\xc3", "ok": "é\r"}
+	if got := tokens(t, "<a b='x&ok;'>&ok;\n&amp;</a>", ents); strings.Join(got, "|") != "<a b=xé\r>|T:é\r\n&|</a>" {
+		t.Errorf("got %q", got)
+	}
+	for _, tc := range []struct {
+		doc, want string
+		off       int
+	}{
+		{"<a>xy&ctl;</a>", "illegal character code U+0001", 5},
+		{"<a b='&ctl;'/>", "illegal character code U+0001", 6},
+		{"<a>&half;\xa9</a>", "invalid UTF-8", 3},
+		{"<a>&#0;</a>", "illegal character code U+0000", 3},
+		{"<a>&#xFFFF;</a>", "illegal character code U+FFFF", 3},
+	} {
+		var tok Tokenizer
+		tok.Reset([]byte(tc.doc))
+		tok.SetEntities(ents)
+		var err error
+		for err == nil {
+			_, err = tok.Next()
+		}
+		se, ok := err.(*SyntaxError)
+		if !ok || se.Msg != tc.want || se.Offset != tc.off {
+			t.Errorf("%q: error %v, want %q at offset %d", tc.doc, err, tc.want, tc.off)
+		}
 	}
 }
 
@@ -144,6 +180,9 @@ func TestSyntaxErrors(t *testing.T) {
 		{"<a b='<'/>", "unescaped < inside quoted string", 6, 1, 7},
 		{"<a>&nosuch;</a>", "invalid character entity", 3, 1, 4},
 		{"<a>&#x110000;</a>", "invalid character entity", 3, 1, 4},
+		{"<a>&#x4?;</a>", "invalid character entity", 3, 1, 4},
+		{"<a>&#4a;</a>", "invalid character entity", 3, 1, 4},
+		{"<a>&#x;</a>", "invalid character entity", 3, 1, 4},
 		{"<a>\x01</a>", "illegal character code", 3, 1, 4},
 		{"<a>\xff</a>", "invalid UTF-8", 3, 1, 4},
 		{"<a b=c></a>", "unquoted or missing attribute value", 5, 1, 6},
@@ -163,6 +202,21 @@ func TestSyntaxErrors(t *testing.T) {
 		{"<a>abcdefgh\uFFFE</a>", "illegal character code U+FFFE", 11, 1, 12},
 		{"<a b=\"abc", "unexpected EOF", 9, 1, 10},
 		{"<a>\n\t€€<b c='\n\xc3'/></a>", "invalid UTF-8", 18, 3, 1},
+		// A character fault after a reference or a carriage return is
+		// reported at its own offset, ahead of a later bad reference.
+		{"<a>xy&amp;&#1;zw</a>", "illegal character code U+0001", 10, 1, 11},
+		{"<a>ab\r\n\x01</a>", "illegal character code U+0001", 7, 2, 1},
+		{"<a b='c\rd\xffe'/>", "invalid UTF-8", 9, 1, 10},
+		{"<a>x&#1;&</a>", "illegal character code U+0001", 4, 1, 5},
+		{"<a>x&amp;\uFFFE&y;</a>", "illegal character code U+FFFE", 9, 1, 10},
+		// Faults of the whole run still come first.
+		{"<a>x&#1;]]></a>", "unescaped ]]> not in CDATA section", 8, 1, 9},
+		{"<a b='&#1;<'/>", "unescaped < inside quoted string", 10, 1, 11},
+		{"<a b='&#1;", "unexpected EOF", 10, 1, 11},
+		// CDATA: '&' and '<' are literal, "]]>" ends the section.
+		{"<a><![CDATA[x\r\n\x01]]></a>", "illegal character code U+0001", 15, 2, 1},
+		{"<a><![CDATA[x&\x01", "unexpected EOF in CDATA section", 15, 1, 16},
+		{"<a><![CDATA[x]]", "unexpected EOF in CDATA section", 15, 1, 16},
 	} {
 		var tok Tokenizer
 		tok.Reset([]byte(tc.doc))
@@ -370,8 +424,12 @@ func TestPositionsLargeDocument(t *testing.T) {
 	}
 }
 
-// refText is the byte-at-a-time scan of a text run at lo that the fused
-// scan replaced: find the '<', reject "]]>", then resolve.
+// The ref* functions are the byte-at-a-time scans that scanRun replaced,
+// kept as its oracle: find the end of the run, reject what breaks the run
+// as a whole, then resolve it, rewriting the whole run into scratch at its
+// first reference or carriage return and range-checking the result.
+
+// refText scans a text run at lo: find the '<', reject "]]>", resolve.
 func refText(t *Tokenizer, lo int) (v valRef, end int, err error) {
 	d := t.data
 	hi := lo
@@ -383,12 +441,12 @@ func refText(t *Tokenizer, lo int) (v valRef, end int, err error) {
 			return valRef{}, 0, t.syntaxErr(i, "unescaped ]]> not in CDATA section")
 		}
 	}
-	v, err = refResolve(t, lo, hi)
+	v, err = refResolve(t, lo, hi, true)
 	return v, hi, err
 }
 
-// refValue is the byte-at-a-time scan of an attribute value at lo, after
-// its opening quote q: find the closing quote, reject '<', then resolve.
+// refValue scans an attribute value at lo, after its opening quote q:
+// find the closing quote, reject '<', resolve.
 func refValue(t *Tokenizer, lo int, q byte) (v valRef, end int, err error) {
 	d := t.data
 	hi := lo
@@ -403,19 +461,34 @@ func refValue(t *Tokenizer, lo int, q byte) (v valRef, end int, err error) {
 			return valRef{}, 0, t.syntaxErr(i, "unescaped < inside quoted string")
 		}
 	}
-	v, err = refResolve(t, lo, hi)
+	v, err = refResolve(t, lo, hi, true)
 	return v, hi + 1, err
 }
 
+// refCDATA scans a CDATA section's body at lo: find "]]>", then resolve
+// with '&' taken literally.
+func refCDATA(t *Tokenizer, lo int) (v valRef, end int, err error) {
+	d := t.data
+	hi := lo
+	for hi+2 < len(d) && !(d[hi] == ']' && d[hi+1] == ']' && d[hi+2] == '>') {
+		hi++
+	}
+	if hi+2 >= len(d) {
+		return valRef{}, 0, t.syntaxErr(len(d), "unexpected EOF in CDATA section")
+	}
+	v, err = refResolve(t, lo, hi, false)
+	return v, hi + 3, err
+}
+
 // refResolve checks [lo,hi) one byte or rune at a time and returns it as
-// is, or hands it to resolveSlow at the first reference or carriage
-// return.
-func refResolve(t *Tokenizer, lo, hi int) (valRef, error) {
+// is, or hands it to refResolveSlow at the first carriage return or, with
+// entities set, reference.
+func refResolve(t *Tokenizer, lo, hi int, entities bool) (valRef, error) {
 	d := t.data
 	for i := lo; i < hi; {
 		switch b := d[i]; {
-		case b == '&' || b == '\r':
-			return t.resolveSlow(lo, hi, true)
+		case b == '&' && entities || b == '\r':
+			return refResolveSlow(t, lo, hi, entities)
 		case b == '\t' || b == '\n' || 0x20 <= b && b < utf8.RuneSelf:
 			i++
 		case b < utf8.RuneSelf:
@@ -434,104 +507,298 @@ func refResolve(t *Tokenizer, lo, hi int) (valRef, error) {
 	return valRef{lo, hi, false}, nil
 }
 
-// TestScanWordBoundaries puts each byte the fused scan must stop at into
-// runs of length 0–24 at every offset 0–17, in text and in values of both
-// quote kinds, ending at EOF or before more markup, and requires the
-// token, value, error message and error position of the reference scans.
+// refResolveSlow rewrites [lo,hi) into scratch byte by byte: references
+// expanded, \r and \r\n rewritten to \n (replacement text is inserted
+// verbatim and resets the \r state). The result is then range-checked as
+// a whole, so a fault in it is reported at lo, after any bad reference.
+func refResolveSlow(t *Tokenizer, lo, hi int, entities bool) (valRef, error) {
+	d := t.data
+	s := t.scratch
+	slo := len(s)
+	prevCR := false
+	for i := lo; i < hi; {
+		b := d[i]
+		switch {
+		case b == '&' && entities:
+			var err error
+			if s, i, err = refReference(t, s, i, hi); err != nil {
+				t.scratch = s
+				return valRef{}, err
+			}
+			prevCR = false
+		case b == '\r':
+			s = append(s, '\n')
+			prevCR = true
+			i++
+		case b == '\n' && prevCR:
+			prevCR = false
+			i++
+		default:
+			s = append(s, b)
+			prevCR = false
+			i++
+		}
+	}
+	t.scratch = s
+	if err := refCheckChars(t, s[slo:], lo); err != nil {
+		return valRef{}, err
+	}
+	return valRef{slo, len(s), true}, nil
+}
+
+// refCheckChars range-checks resolved text, reporting a fault at errOff.
+func refCheckChars(t *Tokenizer, b []byte, errOff int) error {
+	for len(b) > 0 {
+		r, size := utf8.DecodeRune(b)
+		if r == utf8.RuneError && size == 1 {
+			return t.syntaxErr(errOff, "invalid UTF-8")
+		}
+		if !isInCharacterRange(r) {
+			return t.syntaxErr(errOff, "illegal character code %U", r)
+		}
+		b = b[size:]
+	}
+	return nil
+}
+
+// refReference expands the reference at i within [i,hi), appending its
+// replacement text unchecked, and returns the position past the ';'.
+func refReference(t *Tokenizer, s []byte, i, hi int) ([]byte, int, error) {
+	d := t.data
+	j := i + 1
+	if j < hi && d[j] == '#' {
+		j++
+		base := 10
+		if j < hi && d[j] == 'x' {
+			base = 16
+			j++
+		}
+		start := j
+		n := 0
+		for ; j < hi; j++ {
+			v := strings.IndexByte("0123456789abcdef", d[j]|0x20*byte(base/16))
+			if v < 0 || v >= base || d[j] < '0' {
+				break
+			}
+			if n = n*base + v; n > unicode.MaxRune {
+				n = unicode.MaxRune + 1
+			}
+		}
+		if j == start || j >= hi || d[j] != ';' || n > unicode.MaxRune {
+			return s, 0, t.syntaxErr(i, "invalid character entity")
+		}
+		return utf8.AppendRune(s, rune(n)), j + 1, nil
+	}
+	start := j
+	for j < hi && nameByte[d[j]] {
+		j++
+	}
+	if j == start || j >= hi || d[j] != ';' {
+		return s, 0, t.syntaxErr(i, "invalid character entity")
+	}
+	name := string(d[start:j])
+	if v, ok := map[string]string{"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": `"`}[name]; ok {
+		return append(s, v...), j + 1, nil
+	}
+	if v, ok := t.entities[name]; ok {
+		return append(s, v...), j + 1, nil
+	}
+	return s, 0, t.syntaxErr(i, "invalid character entity &%s;", name)
+}
+
+// A runCtx places a run in a document: text (q 0), a CDATA section's body
+// or an attribute value quoted by q, ending at EOF or before more markup.
+type runCtx struct {
+	open, close string
+	q           byte
+	cdata       bool
+}
+
+var runCtxs = []runCtx{
+	{"<a>", "", 0, false}, {"<a>", "</a>", 0, false},
+	{`<a v="`, ``, '"', false}, {`<a v="`, `"`, '"', false}, {`<a v="`, `"><b/></a>`, '"', false},
+	{`<a v='`, ``, '\'', false}, {`<a v='`, `'`, '\'', false}, {`<a v='`, `'><b/></a>`, '\'', false},
+	{"<a><![CDATA[", "", 0, true}, {"<a><![CDATA[", "]]></a>", 0, true},
+}
+
+// runResult is what a scan of one run produced.
+type runResult struct {
+	text    string
+	scratch bool
+	end     int
+	err     error
+}
+
+// scanBoth reads the run at lo in doc with scanRun and with the reference.
+func scanBoth(got, want *Tokenizer, doc []byte, lo int, c runCtx) (g, w runResult) {
+	got.Reset(doc)
+	want.Reset(doc)
+	got.pos, got.tokOff = lo, lo
+	var gv, wv valRef
+	switch {
+	case c.q != 0:
+		gv, g.err = got.scanRun(c.q, false)
+		wv, w.end, w.err = refValue(want, lo, c.q)
+	case c.cdata:
+		_, g.err = got.scanText(true)
+		gv = got.content
+		wv, w.end, w.err = refCDATA(want, lo)
+	default:
+		_, g.err = got.scanText(false)
+		gv = got.content
+		wv, w.end, w.err = refText(want, lo)
+	}
+	if g.err == nil {
+		g.text, g.scratch, g.end = string(got.bytesOf(gv)), gv.scratch, got.pos
+	}
+	if w.err == nil {
+		w.text, w.scratch = string(want.bytesOf(wv)), wv.scratch
+	}
+	return g, w
+}
+
+// movedFault reports whether the errors of a run differ only as the one
+// scan intends: got is a character fault at its own offset, after the
+// run's first reference or carriage return, where the reference reported
+// the same message at the run's start lo, or a bad reference later on.
+func movedFault(doc []byte, lo int, c runCtx, got, want error) bool {
+	g, ok1 := got.(*SyntaxError)
+	w, ok2 := want.(*SyntaxError)
+	if !ok1 || !ok2 || g.Offset < lo || g.Offset >= len(doc) {
+		return false
+	}
+	if !strings.HasPrefix(g.Msg, "illegal character code") && g.Msg != "invalid UTF-8" {
+		return false
+	}
+	stops := "&\r"
+	if c.cdata {
+		stops = "\r"
+	}
+	if bytes.IndexAny(doc[lo:g.Offset+1], stops) < 0 {
+		return false
+	}
+	return w.Msg == g.Msg && w.Offset == lo ||
+		strings.HasPrefix(w.Msg, "invalid character entity") && w.Offset > g.Offset
+}
+
+// TestScanWordBoundaries puts each byte scanRun must stop at into runs of
+// length 0–24 at every offset 0–17, and every ordered pair of special
+// pieces at and across word edges, in text, CDATA and values of both
+// quote kinds, and requires the reference scan's token, end and error.
+// The only difference allowed is movedFault's.
 func TestScanWordBoundaries(t *testing.T) {
-	pieces := []string{
+	const filler = "ab>d\tf h\nj]lmnopqrstuvwxyzABCD"
+	var got, want Tokenizer
+	runs, moved, msgs := 0, 0, 0
+	check := func(run string) {
+		t.Helper()
+		for _, c := range runCtxs {
+			runs++
+			doc := []byte(c.open + run + c.close)
+			lo := len(c.open)
+			g, w := scanBoth(&got, &want, doc, lo, c)
+			sameErr := g.err == nil && w.err == nil
+			if g.err != nil && w.err != nil {
+				ge, _ := g.err.(*SyntaxError)
+				we, _ := w.err.(*SyntaxError)
+				sameErr = ge != nil && we != nil && *ge == *we
+			}
+			switch {
+			case sameErr && g.err == nil && g != w:
+				t.Errorf("%q at %d: %q (scratch %v) ending at %d, want %q (scratch %v) ending at %d",
+					doc, lo, g.text, g.scratch, g.end, w.text, w.scratch, w.end)
+			case sameErr:
+			case movedFault(doc, lo, c, g.err, w.err):
+				moved++
+				if g.err.(*SyntaxError).Msg != w.err.(*SyntaxError).Msg {
+					msgs++
+				}
+			default:
+				t.Errorf("%q at %d: error %v, want %v", doc, lo, g.err, w.err)
+			}
+		}
+	}
+	for _, p := range []string{
 		"<", "&", "&amp;", "]", "]]>", "\r", "\r\n", "\x01", "\x08", "\x0b", "\x1f",
 		"\x7f", "\x80", "\xff", "é", "€", "😀", "\uFFFE", `"`, "'",
-	}
-	const filler = "ab>d\tf h\nj]lmnopqrstuvwxyzABCD"
-	ctxs := []struct {
-		open, close string
-		q           byte // 0 for text
-	}{
-		{"<a>", "", 0}, {"<a>", "</a>", 0},
-		{`<a v="`, ``, '"'}, {`<a v="`, `"`, '"'}, {`<a v="`, `"><b/></a>`, '"'},
-		{`<a v='`, ``, '\''}, {`<a v='`, `'`, '\''}, {`<a v='`, `'><b/></a>`, '\''},
-	}
-	var got, want Tokenizer
-	sameErr := func(a, b error) bool {
-		if a == nil || b == nil {
-			return a == nil && b == nil
-		}
-		sa, ok1 := a.(*SyntaxError)
-		sb, ok2 := b.(*SyntaxError)
-		return ok1 && ok2 && *sa == *sb
-	}
-	for _, p := range pieces {
+	} {
 		for size := 0; size <= 24; size++ {
 			for at := 0; at <= 17 && at <= size; at++ {
-				run := filler[:at] + p + filler[at:size]
-				for _, c := range ctxs {
-					doc := []byte(c.open + run + c.close)
-					lo := len(c.open)
-					got.Reset(doc)
-					want.Reset(doc)
-					var gv, wv valRef
-					var gend, wend int
-					var gerr, werr error
-					if c.q == 0 {
-						got.pos, got.tokOff = lo, lo
-						_, gerr = got.scanText()
-						gv, gend = got.content, got.pos
-						wv, wend, werr = refText(&want, lo)
-					} else {
-						got.pos = lo
-						gv, gerr = got.scanValue(c.q)
-						gend = got.pos
-						wv, wend, werr = refValue(&want, lo, c.q)
-					}
-					switch {
-					case !sameErr(gerr, werr):
-						t.Errorf("%q at %d: error %v, want %v", doc, lo, gerr, werr)
-					case gerr != nil:
-					case gend != wend || gv.scratch != wv.scratch ||
-						!bytes.Equal(got.bytesOf(gv), want.bytesOf(wv)):
-						t.Errorf("%q at %d: %q (scratch %v) ending at %d, want %q (scratch %v) ending at %d",
-							doc, lo, got.bytesOf(gv), gv.scratch, gend, want.bytesOf(wv), wv.scratch, wend)
+				check(filler[:at] + p + filler[at:size])
+			}
+		}
+	}
+	if moved != 0 {
+		t.Errorf("%d one-piece runs moved a fault, want 0", moved)
+	}
+	runs, moved, msgs = 0, 0, 0
+	pieces := []string{
+		"&amp;", "&#1;", "&", "\r", "\r\n", "]]>", "<", "\x01", "\xff", "\uFFFE", `"`, "'",
+	}
+	for _, p1 := range pieces {
+		for _, p2 := range pieces {
+			for _, at := range []int{0, 7, 8} {
+				for _, gap := range []int{0, 1, 7, 8} {
+					for _, tail := range []int{0, 9} {
+						check(filler[:at] + p1 + filler[at:at+gap] + p2 + filler[at+gap:at+gap+tail])
 					}
 				}
 			}
 		}
 	}
+	t.Logf("%d of %d two-piece runs report a moved fault (%d with another message)", moved, runs, msgs)
 }
+
+// Shapes of largeDoc's document.
+const (
+	docSeeded = iota // "&amp;" in one text run in 32, "\r\n" in another one in 32
+	docPlain         // no reference and no carriage return, as in perfbench's documents
+	docCRLF          // docSeeded with CRLF line ends and a reference in one value in 8
+)
 
 // largeDoc builds a seeded document of about size bytes shaped like a
 // record ledger: elements with 1–5 attributes and text runs of 40–230
-// bytes, a few of them with a reference or a \r\n.
-func largeDoc(size int) []byte {
+// bytes, with references and carriage returns as shape says.
+func largeDoc(size, shape int) []byte {
 	r := rand.New(rand.NewSource(1))
 	words := strings.Fields(`amber basalt cedar delta ember fjord granite harbor
 		indigo juniper kelp lumen meadow nectar onyx pewter quartz river`)
+	nl := "\n"
+	if shape == docCRLF {
+		nl = "\r\n"
+	}
 	var b bytes.Buffer
-	b.WriteString("<ledger region=\"eu\">\n")
+	b.WriteString("<ledger region=\"eu\">" + nl)
 	for b.Len() < size {
 		b.WriteString("<line")
 		for i, n := 0, 1+r.Intn(5); i < n; i++ {
-			fmt.Fprintf(&b, ` a%d="%s-%04d"`, i, words[r.Intn(len(words))], r.Intn(10000))
+			sep := "-"
+			if shape == docCRLF && r.Intn(8) == 0 {
+				sep = "&amp;"
+			}
+			fmt.Fprintf(&b, ` a%d="%s%s%04d"`, i, words[r.Intn(len(words))], sep, r.Intn(10000))
 		}
 		b.WriteByte('>')
 		for end := b.Len() + 40 + r.Intn(191); b.Len() < end; {
 			b.WriteString(words[r.Intn(len(words))])
 			b.WriteByte(' ')
 		}
-		switch r.Intn(32) {
-		case 0:
+		switch k := r.Intn(32); {
+		case shape == docPlain:
+		case k == 0:
 			b.WriteString("&amp; co")
-		case 1:
+		case k == 1:
 			b.WriteString("\r\n")
 		}
-		b.WriteString("</line>\n")
+		b.WriteString("</line>" + nl)
 	}
-	b.WriteString("</ledger>\n")
+	b.WriteString("</ledger>" + nl)
 	return b.Bytes()
 }
 
-func BenchmarkXMLTokLarge(b *testing.B) {
-	data := largeDoc(200 << 10)
+// benchLarge tokenizes a 200 KiB largeDoc of the given shape.
+func benchLarge(b *testing.B, shape int) {
+	data := largeDoc(200<<10, shape)
 	var tok Tokenizer
 	scan := func() {
 		tok.Reset(data)
@@ -553,3 +820,7 @@ func BenchmarkXMLTokLarge(b *testing.B) {
 		scan()
 	}
 }
+
+func BenchmarkXMLTokLarge(b *testing.B)      { benchLarge(b, docSeeded) }
+func BenchmarkXMLTokLargeCRLF(b *testing.B)  { benchLarge(b, docCRLF) }
+func BenchmarkXMLTokLargePlain(b *testing.B) { benchLarge(b, docPlain) }

@@ -51,11 +51,16 @@ type rawSchema struct {
 	simpleTypes map[string]bool // names of top-level simpleTypes
 }
 
-// schemaError is a decode/resolution error with a source line.
+// schemaError is a decode/resolution error with a source line. Err is the
+// compile error behind a content model that does not compile, so callers
+// can match dregex's sentinel errors with errors.Is.
 type schemaError struct {
 	Line int
 	Msg  string
+	Err  error
 }
+
+func (e *schemaError) Unwrap() error { return e.Err }
 
 func (e *schemaError) Error() string {
 	if e.Line > 0 {

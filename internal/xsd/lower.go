@@ -7,14 +7,15 @@ package xsd
 
 import (
 	"strconv"
-	"strings"
 
 	"dregex/internal/ast"
 )
 
 // lowerer lowers one type's content particle, resolving element
 // declarations into t's child table and tracking whether any occurrence
-// range needs the counter pipeline.
+// range needs the counter pipeline. The model is written into one buffer
+// from left to right, so lowering is linear in its length however deep
+// the particles nest.
 type lowerer struct {
 	r *resolver
 	t *Type
@@ -22,6 +23,7 @@ type lowerer struct {
 	// classical set ({0,1}, {1,1}, {0,∞}, {1,∞}) — those models compile
 	// through CompileNumeric; everything else stays on the plain engines.
 	numeric bool
+	buf     []byte // the model lowered so far
 }
 
 // lowKind classifies a lowered particle. The distinction between gone and
@@ -31,23 +33,26 @@ type lowerer struct {
 type lowKind int
 
 const (
-	lowExpr lowKind = iota // src holds a content-model expression
+	lowExpr lowKind = iota // the particle's expression was appended
 	lowEps                 // particle matches exactly ε (e.g. empty sequence)
 	lowGone                // particle prohibited by maxOccurs=0 — removed
 )
 
-// lower serializes p.
-func (lw *lowerer) lower(p *rawParticle) (src string, kind lowKind, err error) {
+// lower appends p's expression to lw.buf; for lowEps and lowGone it
+// appends nothing.
+func (lw *lowerer) lower(p *rawParticle) (lowKind, error) {
 	if p.max == 0 {
-		return "", lowGone, nil
+		return lowGone, nil
 	}
 	switch p.kind {
 	case "element":
 		decl, err := lw.r.elementDecl(p, lw.t)
 		if err != nil {
-			return "", lowExpr, err
+			return lowExpr, err
 		}
-		return lw.occurs(decl.Name, p.min, p.max), lowExpr, nil
+		lw.buf = append(lw.buf, decl.Name...)
+		lw.occurs(p.min, p.max)
+		return lowExpr, nil
 	case "sequence":
 		return lw.lowerItems(p, ", ", false)
 	case "choice":
@@ -55,81 +60,86 @@ func (lw *lowerer) lower(p *rawParticle) (src string, kind lowKind, err error) {
 	case "group":
 		body, err := lw.r.group(p.ref, p.line)
 		if err != nil {
-			return "", lowExpr, err
+			return lowExpr, err
 		}
 		if body.kind == "all" {
-			return "", lowExpr, errAt(p.line, "type %s: group %q is an xs:all group and must be the entire content model",
+			return lowExpr, errAt(p.line, "type %s: group %q is an xs:all group and must be the entire content model",
 				lw.t.Name, p.ref)
 		}
 		lw.r.groupUse = append(lw.r.groupUse, p.ref)
-		inner, kind, err := lw.lower(body)
+		kind, err := lw.lower(body)
 		lw.r.groupUse = lw.r.groupUse[:len(lw.r.groupUse)-1]
 		if err != nil || kind != lowExpr {
-			return "", kind, err
+			return kind, err
 		}
-		return lw.occurs(inner, p.min, p.max), lowExpr, nil
+		lw.occurs(p.min, p.max)
+		return lowExpr, nil
 	case "all":
-		return "", lowExpr, errAt(p.line, "type %s: xs:all must be the entire content model", lw.t.Name)
+		return lowExpr, errAt(p.line, "type %s: xs:all must be the entire content model", lw.t.Name)
 	}
-	return "", lowExpr, errAt(p.line, "type %s: unsupported particle %q", lw.t.Name, p.kind)
+	return lowExpr, errAt(p.line, "type %s: unsupported particle %q", lw.t.Name, p.kind)
 }
 
 // lowerItems lowers a sequence or choice. In a choice an ε item cannot be
 // written as a branch; it makes the whole group nullable instead (same
 // language), so the group gains a '?'. Prohibited items vanish without a
 // trace in both group kinds.
-func (lw *lowerer) lowerItems(p *rawParticle, sep string, choice bool) (string, lowKind, error) {
-	parts := make([]string, 0, len(p.items))
-	nullable := false
+func (lw *lowerer) lowerItems(p *rawParticle, sep string, choice bool) (lowKind, error) {
+	start := len(lw.buf)
+	lw.buf = append(lw.buf, '(')
+	parts, nullable := 0, false
 	for _, item := range p.items {
-		s, kind, err := lw.lower(item)
+		mark := len(lw.buf)
+		if parts > 0 {
+			lw.buf = append(lw.buf, sep...)
+		}
+		kind, err := lw.lower(item)
 		if err != nil {
-			return "", lowExpr, err
+			return lowExpr, err
 		}
-		switch kind {
-		case lowGone:
-			continue
-		case lowEps:
-			if choice {
-				nullable = true
-			}
+		if kind != lowExpr {
+			lw.buf = lw.buf[:mark]
+			nullable = nullable || choice && kind == lowEps
 			continue
 		}
-		parts = append(parts, s)
+		parts++
 	}
-	if len(parts) == 0 {
+	if parts == 0 {
 		// Every item was ε or removed: a sequence of nothing is ε, as is
 		// a choice with an ε branch (or occurring zero times). A required
 		// choice whose branches were all prohibited admits nothing.
+		lw.buf = lw.buf[:start]
 		if !choice || nullable || p.min == 0 {
-			return "", lowEps, nil
+			return lowEps, nil
 		}
-		return "", lowExpr, errAt(p.line, "type %s: choice with no usable branches", lw.t.Name)
+		return lowExpr, errAt(p.line, "type %s: choice with no usable branches", lw.t.Name)
 	}
-	inner := "(" + strings.Join(parts, sep) + ")"
+	lw.buf = append(lw.buf, ')')
 	if nullable {
-		inner += "?"
+		lw.buf = append(lw.buf, '?')
 	}
-	return lw.occurs(inner, p.min, p.max), lowExpr, nil
+	lw.occurs(p.min, p.max)
+	return lowExpr, nil
 }
 
-// occurs applies an occurrence range as a postfix operator, routing
+// occurs appends an occurrence range as a postfix operator, routing
 // non-classical ranges to the counter pipeline.
-func (lw *lowerer) occurs(inner string, min, max int) string {
+func (lw *lowerer) occurs(min, max int) {
 	switch {
 	case min == 1 && max == 1:
-		return inner
 	case min == 0 && max == 1:
-		return inner + "?"
+		lw.buf = append(lw.buf, '?')
 	case min == 0 && max == ast.Unbounded:
-		return inner + "*"
+		lw.buf = append(lw.buf, '*')
 	case min == 1 && max == ast.Unbounded:
-		return inner + "+"
-	case max == ast.Unbounded:
-		lw.numeric = true
-		return inner + "{" + strconv.Itoa(min) + ",}"
+		lw.buf = append(lw.buf, '+')
 	default:
 		lw.numeric = true
-		return inner + "{" + strconv.Itoa(min) + "," + strconv.Itoa(max) + "}"
+		lw.buf = strconv.AppendInt(append(lw.buf, '{'), int64(min), 10)
+		lw.buf = append(lw.buf, ',')
+		if max != ast.Unbounded {
+			lw.buf = strconv.AppendInt(lw.buf, int64(max), 10)
+		}
+		lw.buf = append(lw.buf, '}')
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"dregex"
 	"dregex/internal/dtd"
@@ -402,7 +403,7 @@ func (r *resolver) fillType(t *Type, rt *rawType) error {
 		return r.fillAll(t, content)
 	}
 	lw := &lowerer{r: r, t: t}
-	src, kind, err := lw.lower(content)
+	kind, err := lw.lower(content)
 	if err != nil {
 		return err
 	}
@@ -412,7 +413,7 @@ func (r *resolver) fillType(t *Type, rt *rawType) error {
 		return nil
 	}
 	t.Kind = Children
-	t.Model = src
+	t.Model = string(lw.buf)
 	t.Numeric = lw.numeric
 	return r.compileModel(t, content.line)
 }
@@ -425,7 +426,7 @@ func (r *resolver) compileModel(t *Type, line int) error {
 	if t.Numeric {
 		ne, err := r.cache.GetNumeric(t.Model, dregex.XSD)
 		if err != nil {
-			return errAt(line, "type %s: content model %s: %v", t.Name, t.Model, err)
+			return modelError(line, t, err)
 		}
 		t.NCM = ne
 		t.Deterministic = ne.IsDeterministic()
@@ -437,7 +438,7 @@ func (r *resolver) compileModel(t *Type, line int) error {
 	}
 	cm, err := r.cache.Get(t.Model, dregex.XSD)
 	if err != nil {
-		return errAt(line, "type %s: content model %s: %v", t.Name, t.Model, err)
+		return modelError(line, t, err)
 	}
 	t.CM = cm
 	t.Deterministic = cm.IsDeterministic()
@@ -453,6 +454,22 @@ func (r *resolver) compileModel(t *Type, line int) error {
 		t.matcher = m
 	}
 	return nil
+}
+
+// modelError reports t's content model failing to compile with err. The
+// message quotes at most the model's first 128 bytes: a model nested
+// thousands deep would otherwise fill it.
+func modelError(line int, t *Type, err error) error {
+	m := t.Model
+	if len(m) > 128 {
+		k := 128
+		for !utf8.RuneStart(m[k]) {
+			k--
+		}
+		m = m[:k] + "…"
+	}
+	return &schemaError{Line: line, Err: err,
+		Msg: fmt.Sprintf("type %s: content model %s: %v", t.Name, m, err)}
 }
 
 // fillAll compiles an xs:all content model: a set with per-member

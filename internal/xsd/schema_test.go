@@ -1,6 +1,8 @@
 package xsd
 
 import (
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -572,5 +574,44 @@ func TestParseWarmAllocs(t *testing.T) {
 	})
 	if n > pin {
 		t.Errorf("warm ParseWithCache: %v allocs, want at most %d", n, pin)
+	}
+}
+
+// nestedSchema returns a schema whose root's content is n nested
+// xs:sequence particles around one element.
+func nestedSchema(n int) []byte {
+	return []byte(`<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"><xs:element name="r"><xs:complexType>` +
+		strings.Repeat("<xs:sequence>", n) + `<xs:element name="a"/>` + strings.Repeat("</xs:sequence>", n) +
+		`</xs:complexType></xs:element></xs:schema>`)
+}
+
+// TestDeepNesting: particles nested dregex.MaxNesting deep still compile;
+// deeper ones lower in linear time and space into one model string, which
+// then fails to compile with dregex.ErrNesting. A lowering that copied the
+// inner model at every level would allocate some 400 MB for 20k levels.
+func TestDeepNesting(t *testing.T) {
+	s, err := Parse(nestedSchema(dregex.MaxNesting))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Repeat("(", dregex.MaxNesting) + "a" + strings.Repeat(")", dregex.MaxNesting)
+	if m := s.Roots["r"].Type.Model; m != want {
+		t.Errorf("%d nested sequences lowered to %.40q…", dregex.MaxNesting, m)
+	}
+	alloc := func(n int) uint64 {
+		src := nestedSchema(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(src)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, dregex.ErrNesting) {
+			t.Fatalf("%d nested sequences: %.200v, want ErrNesting", n, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := alloc(5_000), alloc(20_000)
+	t.Logf("5k levels: %d B, 20k levels: %d B", small, large)
+	if large > 8*small || large > 20_000*1024 {
+		t.Errorf("20k levels allocate %d B, 5k levels %d B: want linear, under 1 KiB a level", large, small)
 	}
 }
