@@ -19,7 +19,12 @@
 // the full Unicode name tables, xmltok accepts a strict superset of
 // names (any byte ≥ 0x80 may appear in a name), so a document
 // encoding/xml tokenizes is never rejected for its names here; the
-// differential fuzz target FuzzXMLTok pins the agreement.
+// differential fuzz target FuzzXMLTok pins the agreement. One departure
+// is deliberate: a reference's replacement text is checked on its own, so
+// an entity value that is not valid UTF-8 by itself is rejected even
+// where the bytes after the reference complete its last sequence, which
+// encoding/xml, checking the joined text, accepts. FuzzXMLTok's entity
+// values are all valid UTF-8 and do not reach this case.
 //
 // Each run of character data, each CDATA section and each attribute
 // value is read by one scan, 8 bytes per step: a word without a byte to
@@ -29,8 +34,9 @@
 // either, the bytes before it go to scratch once; the scan expands the
 // reference, range-checking only its replacement text, or turns "\r\n"
 // and a lone '\r' into '\n', and goes on, appending clean spans whole.
-// Faults are reported where the scan meets them, but a fault of the whole
-// run ("]]>" in text, a value without its closing quote or with a '<', a
+// Faults are reported where the scan meets them, a fault in a reference's
+// replacement text at the reference's '&', but a fault of the whole run
+// ("]]>" in text, a value without its closing quote or with a '<', a
 // CDATA section without "]]>") comes first. An end tag is first compared
 // with the open element's name; only a mismatch or space before '>' goes
 // through the name scanner.
@@ -475,8 +481,8 @@ func runStops(w, term uint64) uint64 {
 }
 
 // skipRun returns the first byte at or after i that runStops flags, or
-// where the last whole word of d ends. As a leaf, its loop keeps its
-// state in registers and needs no bounds checks.
+// where the last whole word of d ends. The scan calls it at each stop; as
+// a leaf, its loop keeps its state in registers and needs no bounds checks.
 //
 //dregex:noalloc
 func skipRun(d []byte, i int, tw uint64) int {
@@ -509,15 +515,7 @@ func (t *Tokenizer) scanRun(term byte, cdata bool) (valRef, error) {
 	i, w, slo := lo, lo, len(t.scratch)
 scan:
 	for {
-		// Short runs end inside their first word: test it here, where a
-		// call would cost more than the test, and call skipRun past it.
-		if i+8 <= len(d) {
-			if m := runStops(binary.LittleEndian.Uint64(d[i:]), tw); m != 0 {
-				i += bits.TrailingZeros64(m) >> 3
-			} else {
-				i = skipRun(d, i+8, tw)
-			}
-		}
+		i = skipRun(d, i, tw)
 		if i >= len(d) {
 			if value || cdata {
 				return valRef{}, t.runFault(lo, term, cdata, i, faultRun, 0)

@@ -113,6 +113,7 @@ func TestEntityReplacementChecked(t *testing.T) {
 		off       int
 	}{
 		{"<a>xy&ctl;</a>", "illegal character code U+0001", 5},
+		{"<a>xy&#1;</a>", "illegal character code U+0001", 5}, // the reference scans: 3
 		{"<a b='&ctl;'/>", "illegal character code U+0001", 6},
 		{"<a>&half;\xa9</a>", "invalid UTF-8", 3},
 		{"<a>&#0;</a>", "illegal character code U+0000", 3},
@@ -659,7 +660,8 @@ func scanBoth(got, want *Tokenizer, doc []byte, lo int, c runCtx) (g, w runResul
 
 // movedFault reports whether the errors of a run differ only as the one
 // scan intends: got is a character fault at its own offset, after the
-// run's first reference or carriage return, where the reference reported
+// run's first reference or carriage return or in that reference's
+// replacement text (reported at its '&'), where the reference reported
 // the same message at the run's start lo, or a bad reference later on.
 func movedFault(doc []byte, lo int, c runCtx, got, want error) bool {
 	g, ok1 := got.(*SyntaxError)
