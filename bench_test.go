@@ -145,10 +145,7 @@ func BenchmarkE4PathDecomp(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cl, err := colored.NewClimbing(tr, fol)
-		if err != nil {
-			b.Fatal(err)
-		}
+		cl := colored.NewClimbing(tr, fol)
 		b.Run(fmt.Sprintf("ce=%d/pathdecomp", pd.CE), func(b *testing.B) { benchSimOnWord(b, pd, w) })
 		b.Run(fmt.Sprintf("ce=%d/climbing", pd.CE), func(b *testing.B) { benchSimOnWord(b, cl, w) })
 	}
@@ -171,14 +168,8 @@ func BenchmarkE5Colored(b *testing.B) {
 		if !ok || len(w) < 1024 {
 			b.Fatal("no usable sample")
 		}
-		veb, err := colored.New(tr, fol, colored.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bin, err := colored.New(tr, fol, colored.Options{BinarySearch: true})
-		if err != nil {
-			b.Fatal(err)
-		}
+		veb := colored.New(tr, fol, colored.Options{})
+		bin := colored.New(tr, fol, colored.Options{BinarySearch: true})
 		b.Run(fmt.Sprintf("nodes=%d/veb", size), func(b *testing.B) { benchSimOnWord(b, veb, w) })
 		b.Run(fmt.Sprintf("nodes=%d/binary", size), func(b *testing.B) { benchSimOnWord(b, bin, w) })
 	}
@@ -199,7 +190,7 @@ func BenchmarkTableVsKore(b *testing.B) {
 	if !ok || len(w) < 2048 {
 		b.Fatal("could not sample a long word")
 	}
-	tab, err := table.New(tr, fol, 0)
+	tab, err := table.New(tr, fol)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -241,14 +232,8 @@ func BenchmarkE6StarFree(b *testing.B) {
 	for _, w := range corpus {
 		total += len(w)
 	}
-	batch, err := starfree.NewBatch(tr, fol)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scan, err := starfree.NewScan(tr, fol)
-	if err != nil {
-		b.Fatal(err)
-	}
+	batch := starfree.NewBatch(tr, fol)
+	scan := starfree.NewScan(tr, fol)
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			batch.MatchAll(corpus)

@@ -146,39 +146,20 @@ func e5() {
 	if !ok || len(w) < 1<<14 {
 		panic("no word")
 	}
-	sims := []struct {
+	type namedSim struct {
 		name string
 		sim  match.TransitionSim
-	}{}
-	k := kore.New(tr, fol)
-	sims = append(sims, struct {
-		name string
-		sim  match.TransitionSim
-	}{fmt.Sprintf("kore (k=%d)", k.K), k})
-	if cv, err := colored.New(tr, fol, colored.Options{}); err == nil {
-		sims = append(sims, struct {
-			name string
-			sim  match.TransitionSim
-		}{"colored-veb", cv})
 	}
-	if cb, err := colored.New(tr, fol, colored.Options{BinarySearch: true}); err == nil {
-		sims = append(sims, struct {
-			name string
-			sim  match.TransitionSim
-		}{"colored-binary", cb})
+	k := kore.New(tr, fol)
+	sims := []namedSim{
+		{fmt.Sprintf("kore (k=%d)", k.K), k},
+		{"colored-veb", colored.New(tr, fol, colored.Options{})},
+		{"colored-binary", colored.New(tr, fol, colored.Options{BinarySearch: true})},
 	}
 	if pd, err := pathdecomp.New(tr, fol); err == nil {
-		sims = append(sims, struct {
-			name string
-			sim  match.TransitionSim
-		}{fmt.Sprintf("pathdecomp (ce=%d)", pd.CE), pd})
+		sims = append(sims, namedSim{fmt.Sprintf("pathdecomp (ce=%d)", pd.CE), pd})
 	}
-	if cl, err := colored.NewClimbing(tr, fol); err == nil {
-		sims = append(sims, struct {
-			name string
-			sim  match.TransitionSim
-		}{"climbing", cl})
-	}
+	sims = append(sims, namedSim{"climbing", colored.NewClimbing(tr, fol)})
 	fmt.Printf("%22s %12s  (word length %d)\n", "engine", "ns/symbol", len(w))
 	for _, s := range sims {
 		reps := 5
@@ -214,7 +195,7 @@ func e5Table() {
 	if !ok || len(w) < 1<<14 {
 		panic("no word")
 	}
-	tab, err := table.New(tr, fol, 0)
+	tab, err := table.New(tr, fol)
 	if err != nil {
 		panic(err)
 	}
@@ -228,9 +209,8 @@ func e5Table() {
 	}
 	k := kore.New(tr, fol)
 	rows = append(rows, row{fmt.Sprintf("kore (k=%d)", k.K), func() bool { return match.Word(k, w) }})
-	if cv, err := colored.New(tr, fol, colored.Options{}); err == nil {
-		rows = append(rows, row{"colored-veb", func() bool { return match.Word(cv, w) }})
-	}
+	cv := colored.New(tr, fol, colored.Options{})
+	rows = append(rows, row{"colored-veb", func() bool { return match.Word(cv, w) }})
 	if pd, err := pathdecomp.New(tr, fol); err == nil {
 		rows = append(rows, row{fmt.Sprintf("pathdecomp (ce=%d)", pd.CE), func() bool { return match.Word(pd, w) }})
 	}

@@ -3,6 +3,7 @@ package dregex
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -129,6 +130,24 @@ func TestNestingBound(t *testing.T) {
 		}
 		if d := time.Since(start); d > time.Second {
 			t.Errorf("rejecting %d nested groups took %v", n, d)
+		}
+	}
+	// A source rejected at offset MaxNesting pays for what was parsed, not
+	// for its whole length. Two collections empty the record pool, whose
+	// buffers the loop above has grown.
+	deep := strings.Repeat("(", 1_000_000) + "a" + strings.Repeat(")", 1_000_000)
+	for _, syntax := range []Syntax{DTD, Math} {
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Compile(deep, syntax)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrNesting) {
+			t.Fatalf("1M nested groups: %v, want ErrNesting", err)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+			t.Errorf("rejecting 1M nested groups in syntax %d allocated %d B, want under 1 MiB", syntax, b)
 		}
 	}
 }

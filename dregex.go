@@ -73,8 +73,9 @@ const (
 //
 // It keeps only what matching, Stats and Explain read: the parse tree, its
 // follow index (the tree plus an LCA index), the alphabet and the verdict.
-// The §3.1 skeleta serve only the determinism test and are dropped when
-// Compile returns.
+// The §3.1 skeleta serve the determinism test and are dropped when
+// Compile returns; the colored engines, the only ones that read them,
+// build their own.
 type Expr struct {
 	source string
 	syntax Syntax
@@ -110,7 +111,6 @@ type engineSlot struct {
 type batchSlot struct {
 	once sync.Once
 	b    *starfree.Batch
-	err  error
 }
 
 // ErrNumericIndicator is returned by Compile for expressions with numeric

@@ -1,8 +1,11 @@
 package dregex
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"dregex/internal/match/starfree"
 )
 
 func TestCompileAndDeterminism(t *testing.T) {
@@ -80,8 +83,8 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 		}
 	}
 	// Star-free scan requires star-free input.
-	if _, err := e.Matcher(StarFreeScan); err == nil {
-		t.Error("StarFreeScan accepted a starred expression")
+	if _, err := e.Matcher(StarFreeScan); !errors.Is(err, starfree.ErrNotStarFree) {
+		t.Errorf("StarFreeScan on a starred expression: %v, want ErrNotStarFree", err)
 	}
 }
 
@@ -95,10 +98,23 @@ func TestAutoSelection(t *testing.T) {
 	}
 }
 
+// TestNondeterministicPaths: determinism is decided once, at Compile, and
+// Matcher refuses a nondeterministic expression for every engine but NFA —
+// the engines themselves do not test it again. The star-free a?a is
+// refused the same way under StarFreeScan, which checks only star-freeness.
 func TestNondeterministicPaths(t *testing.T) {
 	e := MustCompile("(a*ba+bb)*", Math)
-	if _, err := e.Matcher(PathDecomp); err == nil {
-		t.Error("deterministic engine accepted nondeterministic expression")
+	sf := MustCompile("a?a", Math)
+	for algo := Algorithm(0); int(algo) < numAlgorithms; algo++ {
+		if algo == NFA {
+			continue
+		}
+		if _, err := e.Matcher(algo); err == nil || !strings.Contains(err.Error(), "not deterministic") {
+			t.Errorf("Matcher(%v) on (a*ba+bb)*: %v, want a nondeterminism error", algo, err)
+		}
+	}
+	if _, err := sf.Matcher(StarFreeScan); err == nil || !strings.Contains(err.Error(), "not deterministic") {
+		t.Errorf("Matcher(StarFreeScan) on a?a: %v, want a nondeterminism error", err)
 	}
 	m, err := e.Matcher(NFA)
 	if err != nil {

@@ -1,8 +1,11 @@
 package ast
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestParseMathBasics(t *testing.T) {
@@ -337,5 +340,35 @@ func TestAlphabetWordHelpers(t *testing.T) {
 		if ok1 != ok2 || (ok1 && id1 != id2) {
 			t.Errorf("LookupRune(%q) = (%v,%v), Lookup = (%v,%v)", r, id1, ok1, id2, ok2)
 		}
+	}
+}
+
+// TestParseErrorQuote: a message quotes a short input whole, and at most
+// quoteMax bytes around the offset of a long one, cut on rune boundaries.
+func TestParseErrorQuote(t *testing.T) {
+	_, err := ParseMath("a)", NewAlphabet())
+	if want := `parse "a)" at offset 1: unexpected ')'`; err == nil || err.Error() != want {
+		t.Errorf("short input: %v, want %s", err, want)
+	}
+	src := "a" + strings.Repeat(" ", 2<<20) + ")"
+	_, err = ParseMath(src, NewAlphabet())
+	var pe *ParseError
+	if !errors.As(err, &pe) || pe.Input != src || pe.Offset != len(src)-1 {
+		t.Fatalf("2 MB source: %.200v, want a ParseError at offset %d", err, len(src)-1)
+	}
+	if msg := err.Error(); len(msg) >= 512 || !strings.Contains(msg, fmt.Sprintf("at offset %d", len(src)-1)) {
+		t.Errorf("2 MB source: a %d-byte message %.200q", len(msg), msg)
+	}
+	wide := strings.Repeat("é", 1000)
+	for _, off := range []int{0, 1, 999, 1001, len(wide)} {
+		msg := (&ParseError{Input: wide, Offset: off, Msg: "m"}).Error()
+		if len(msg) >= 512 || !utf8.ValidString(msg) {
+			t.Errorf("offset %d: a %d-byte message %q", off, len(msg), msg)
+		}
+	}
+	// Not UTF-8: no rune boundary to cut on.
+	cont := strings.Repeat("\x81", 1000)
+	if msg := (&ParseError{Input: cont, Offset: 500, Msg: "m"}).Error(); len(msg) >= 1024 {
+		t.Errorf("continuation bytes: a %d-byte message", len(msg))
 	}
 }

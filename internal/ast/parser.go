@@ -14,8 +14,35 @@ type ParseError struct {
 	Msg    string
 }
 
+// quoteMax bounds the input a ParseError message quotes, so the message of
+// a large source with a syntax error is not as large as the source.
+const quoteMax = 128
+
+// Error quotes the whole input when it is at most quoteMax bytes, and
+// otherwise the quoteMax bytes around Offset, cut on rune boundaries, with
+// "…" where input was left out.
 func (e *ParseError) Error() string {
-	return fmt.Sprintf("parse %q at offset %d: %s", e.Input, e.Offset, e.Msg)
+	in := e.Input
+	if len(in) > quoteMax {
+		lo := min(max(e.Offset-quoteMax/2, 0), len(in)-quoteMax)
+		hi := lo + quoteMax
+		// A rune has at most UTFMax-1 continuation bytes; input that is
+		// not UTF-8 is cut where those run out.
+		for i := 1; i < utf8.UTFMax && lo > 0 && !utf8.RuneStart(in[lo]); i++ {
+			lo++
+		}
+		for i := 1; i < utf8.UTFMax && hi < len(in) && !utf8.RuneStart(in[hi]); i++ {
+			hi--
+		}
+		in = in[lo:hi]
+		if lo > 0 {
+			in = "…" + in
+		}
+		if hi < len(e.Input) {
+			in += "…"
+		}
+	}
+	return fmt.Sprintf("parse %q at offset %d: %s", in, e.Offset, e.Msg)
 }
 
 // MaxBound is the largest finite occurrence bound the grammar accepts:

@@ -11,19 +11,12 @@
 package colored
 
 import (
-	"errors"
-
 	"dregex/internal/ast"
 	"dregex/internal/colorancestor"
-	"dregex/internal/determinism"
 	"dregex/internal/follow"
 	"dregex/internal/parsetree"
 	"dregex/internal/skeleton"
 )
-
-// ErrNondeterministic is returned when the expression fails the
-// determinism test; Lemma 3.3 candidate resolution requires determinism.
-var ErrNondeterministic = errors.New("colored: expression is not deterministic")
 
 // Matcher is the Theorem 4.2 transition simulator.
 type Matcher struct {
@@ -42,14 +35,11 @@ type Options struct {
 	BinarySearch bool
 }
 
-// New builds the matcher, running the linear determinism test on the way
-// (the skeleta are shared between the test and the matcher, as in §4.1).
-// It returns ErrNondeterministic for nondeterministic expressions.
-func New(t *parsetree.Tree, fol *follow.Index, opt Options) (*Matcher, error) {
+// New builds the matcher from the §3.1 skeleta of t. The expression must
+// be deterministic — Lemma 3.3 candidate resolution requires it — which
+// the public API layer enforces.
+func New(t *parsetree.Tree, fol *follow.Index, opt Options) *Matcher {
 	sks := skeleton.Build(t, fol, skeleton.Options{})
-	if res := determinism.CheckSkeletons(t, sks, false); !res.Deterministic {
-		return nil, ErrNondeterministic
-	}
 	m := &Matcher{t: t, fol: fol}
 	declared := make([]colorancestor.ColoredNode, 0, len(sks.ColoredNodes))
 	for _, c := range sks.ColoredNodes {
@@ -64,7 +54,7 @@ func New(t *parsetree.Tree, fol *follow.Index, opt Options) (*Matcher, error) {
 	m.ca = colorancestor.Build(t, declared, colorancestor.Options{
 		BinarySearch: opt.BinarySearch,
 	})
-	return m, nil
+	return m
 }
 
 // Tree implements match.TransitionSim.
@@ -104,12 +94,10 @@ type Climbing struct {
 	cand    [][3]parsetree.NodeID
 }
 
-// NewClimbing builds the baseline from the same skeleta.
-func NewClimbing(t *parsetree.Tree, fol *follow.Index) (*Climbing, error) {
+// NewClimbing builds the baseline from the same skeleta, under the same
+// determinism precondition as New.
+func NewClimbing(t *parsetree.Tree, fol *follow.Index) *Climbing {
 	sks := skeleton.Build(t, fol, skeleton.Options{})
-	if res := determinism.CheckSkeletons(t, sks, false); !res.Deterministic {
-		return nil, ErrNondeterministic
-	}
 	c := &Climbing{t: t, fol: fol, colorAt: make(map[int64]int32, len(sks.ColoredNodes))}
 	for _, cn := range sks.ColoredNodes {
 		idx := int32(len(c.cand))
@@ -118,7 +106,7 @@ func NewClimbing(t *parsetree.Tree, fol *follow.Index) (*Climbing, error) {
 		})
 		c.colorAt[colorKey(cn.Node, cn.Sym)] = idx
 	}
-	return c, nil
+	return c
 }
 
 func colorKey(n parsetree.NodeID, a ast.Symbol) int64 {

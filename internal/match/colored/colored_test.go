@@ -22,10 +22,7 @@ func TestExample41(t *testing.T) {
 		t.Fatal(err)
 	}
 	fol := follow.New(tr)
-	m, err := New(tr, fol, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := New(tr, fol, Options{})
 	c, _ := alpha.Lookup("c")
 	a, _ := alpha.Lookup("a")
 	p := func(i int) parsetree.NodeID { return tr.PosNode[i] }
@@ -52,10 +49,7 @@ func TestLargeAlphabet(t *testing.T) {
 	}
 	fol := follow.New(tr)
 	for _, binary := range []bool{false, true} {
-		cm, err := New(tr, fol, Options{BinarySearch: binary})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cm := New(tr, fol, Options{BinarySearch: binary})
 		r := rand.New(rand.NewSource(701))
 		p := cm.Start()
 		for step := 0; step < 5000; step++ {
@@ -84,14 +78,8 @@ func TestAgainstClimbing(t *testing.T) {
 			t.Fatal(err)
 		}
 		fol := follow.New(tr)
-		cm, err := New(tr, fol, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl, err := NewClimbing(tr, fol)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cm := New(tr, fol, Options{})
+		cl := NewClimbing(tr, fol)
 		sigma := tr.Alpha.Size()
 		for i := 0; i < tr.NumPositions()-1; i++ {
 			p := tr.PosNode[i]

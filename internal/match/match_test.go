@@ -24,23 +24,11 @@ import (
 func sims(t *testing.T, tr *parsetree.Tree, fol *follow.Index) map[string]match.TransitionSim {
 	t.Helper()
 	out := map[string]match.TransitionSim{
-		"kore": kore.New(tr, fol),
+		"kore":        kore.New(tr, fol),
+		"colored-veb": colored.New(tr, fol, colored.Options{}),
+		"colored-bin": colored.New(tr, fol, colored.Options{BinarySearch: true}),
+		"climbing":    colored.NewClimbing(tr, fol),
 	}
-	cm, err := colored.New(tr, fol, colored.Options{})
-	if err != nil {
-		t.Fatalf("colored.New: %v", err)
-	}
-	out["colored-veb"] = cm
-	cb, err := colored.New(tr, fol, colored.Options{BinarySearch: true})
-	if err != nil {
-		t.Fatalf("colored.New(binary): %v", err)
-	}
-	out["colored-bin"] = cb
-	cl, err := colored.NewClimbing(tr, fol)
-	if err != nil {
-		t.Fatalf("colored.NewClimbing: %v", err)
-	}
-	out["climbing"] = cl
 	pd, err := pathdecomp.New(tr, fol)
 	if err != nil {
 		t.Fatalf("pathdecomp.New: %v", err)
@@ -181,19 +169,6 @@ func TestNondeterministicKORE(t *testing.T) {
 					ast.StringMath(e, alpha), w, got, want)
 			}
 		}
-	}
-}
-
-func TestColoredRejectsNondeterministic(t *testing.T) {
-	tr, fol := compileDet(t, "(a*ba+bb)*")
-	if _, err := colored.New(tr, fol, colored.Options{}); err == nil {
-		t.Fatal("colored.New accepted a nondeterministic expression")
-	}
-	if _, err := colored.NewClimbing(tr, fol); err == nil {
-		t.Fatal("NewClimbing accepted a nondeterministic expression")
-	}
-	if _, err := pathdecomp.New(tr, fol); err == nil {
-		t.Fatal("pathdecomp.New accepted a nondeterministic expression")
 	}
 }
 

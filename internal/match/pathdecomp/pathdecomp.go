@@ -17,19 +17,12 @@
 package pathdecomp
 
 import (
-	"errors"
 	"fmt"
 
 	"dregex/internal/ast"
-	"dregex/internal/determinism"
 	"dregex/internal/follow"
 	"dregex/internal/parsetree"
-	"dregex/internal/skeleton"
 )
-
-// ErrNondeterministic is returned for expressions failing the determinism
-// test; the h table is only collision-free for deterministic expressions.
-var ErrNondeterministic = errors.New("pathdecomp: expression is not deterministic")
 
 // Matcher is the Theorem 4.10 transition simulator.
 type Matcher struct {
@@ -52,12 +45,10 @@ func hKey(n parsetree.NodeID, a ast.Symbol) int64 {
 	return int64(n)<<32 | int64(uint32(a))
 }
 
-// New preprocesses t in O(|e|), first running the linear determinism test.
+// New preprocesses t in O(|e|). The expression must be deterministic — the
+// h table is only collision-free then (Lemma 4.5) — which the public API
+// layer enforces; a collision is reported as an error all the same.
 func New(t *parsetree.Tree, fol *follow.Index) (*Matcher, error) {
-	sks := skeleton.Build(t, fol, skeleton.Options{})
-	if res := determinism.CheckSkeletons(t, sks, false); !res.Deterministic {
-		return nil, ErrNondeterministic
-	}
 	m := &Matcher{
 		t:       t,
 		fol:     fol,

@@ -18,33 +18,15 @@ import (
 	"sync"
 
 	"dregex/internal/ast"
-	"dregex/internal/determinism"
 	"dregex/internal/follow"
 	"dregex/internal/parsetree"
-	"dregex/internal/skeleton"
 )
 
-// ErrNotStarFree is returned when the expression contains ∗ (or a loopable
-// numeric iteration).
+// ErrNotStarFree is the error for a star-free engine requested on an
+// expression that contains ∗ (or a loopable numeric iteration). NewScan
+// and NewBatch do not check: the caller, which knows whether the
+// expression is star-free, returns it.
 var ErrNotStarFree = errors.New("starfree: expression contains a star")
-
-// ErrNondeterministic is returned for nondeterministic expressions.
-var ErrNondeterministic = errors.New("starfree: expression is not deterministic")
-
-// validate checks star-freeness and determinism.
-func validate(t *parsetree.Tree, fol *follow.Index) error {
-	for n := parsetree.NodeID(0); n < parsetree.NodeID(t.N()); n++ {
-		if t.Op[n] == parsetree.OpStar ||
-			(t.Op[n] == parsetree.OpIter && t.Max[n] >= 2) {
-			return ErrNotStarFree
-		}
-	}
-	sks := skeleton.Build(t, fol, skeleton.Options{})
-	if res := determinism.CheckSkeletons(t, sks, false); !res.Deterministic {
-		return ErrNondeterministic
-	}
-	return nil
-}
 
 // Scan is the single-word star-free transition simulator. Next(p, a) scans
 // document order strictly after p; because followers only lie to the right,
@@ -54,12 +36,10 @@ type Scan struct {
 	fol *follow.Index
 }
 
-// NewScan validates and wraps the expression.
-func NewScan(t *parsetree.Tree, fol *follow.Index) (*Scan, error) {
-	if err := validate(t, fol); err != nil {
-		return nil, err
-	}
-	return &Scan{t: t, fol: fol}, nil
+// NewScan wraps the expression, which must be star-free and
+// deterministic.
+func NewScan(t *parsetree.Tree, fol *follow.Index) *Scan {
+	return &Scan{t: t, fol: fol}
 }
 
 // Tree implements match.TransitionSim.
@@ -97,12 +77,10 @@ type Batch struct {
 	scratch sync.Pool // *batchScratch
 }
 
-// NewBatch validates and wraps the expression.
-func NewBatch(t *parsetree.Tree, fol *follow.Index) (*Batch, error) {
-	if err := validate(t, fol); err != nil {
-		return nil, err
-	}
-	return &Batch{t: t, fol: fol}, nil
+// NewBatch wraps the expression, which must be star-free and
+// deterministic.
+func NewBatch(t *parsetree.Tree, fol *follow.Index) *Batch {
+	return &Batch{t: t, fol: fol}
 }
 
 // dynamic skeleton node.

@@ -23,31 +23,12 @@ func compile(t *testing.T, e *ast.Node, alpha *ast.Alphabet) (*parsetree.Tree, *
 	return tr, follow.New(tr)
 }
 
-func TestValidation(t *testing.T) {
-	alpha := ast.NewAlphabet()
-	tr, fol := compile(t, ast.MustParseMath("(a+b)*", alpha), alpha)
-	if _, err := NewScan(tr, fol); err != ErrNotStarFree {
-		t.Errorf("NewScan on starred expression: %v", err)
-	}
-	if _, err := NewBatch(tr, fol); err != ErrNotStarFree {
-		t.Errorf("NewBatch on starred expression: %v", err)
-	}
-	alpha2 := ast.NewAlphabet()
-	tr2, fol2 := compile(t, ast.MustParseMath("a?a", alpha2), alpha2)
-	if _, err := NewScan(tr2, fol2); err != ErrNondeterministic {
-		t.Errorf("NewScan on nondeterministic expression: %v", err)
-	}
-}
-
 func TestPaperExample411(t *testing.T) {
 	// Example 4.11: e = (a+ba)(c?)(d?b) against w1..w4; expression written
 	// without the phantom markers (added by the compiler).
 	alpha := ast.NewAlphabet()
 	tr, fol := compile(t, ast.MustParseMath("((a+ba)(c?))(d?b)", alpha), alpha)
-	b, err := NewBatch(tr, fol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBatch(tr, fol)
 	ws := [][]string{
 		{"b", "c", "d", "b"},      // w1 = bcdb
 		{"a", "c", "d", "b", "a"}, // w2 = acdba
@@ -70,14 +51,8 @@ func TestScanAndBatchAgainstOracle(t *testing.T) {
 		e := wordgen.StarFree(r, alpha, 3+r.Intn(10), 10+r.Intn(60))
 		tr, fol := compile(t, e, alpha)
 		oracle := glushkov.Build(tr)
-		scan, err := NewScan(tr, fol)
-		if err != nil {
-			t.Fatalf("NewScan(%s): %v", ast.StringMath(e, alpha), err)
-		}
-		batch, err := NewBatch(tr, fol)
-		if err != nil {
-			t.Fatal(err)
-		}
+		scan := NewScan(tr, fol)
+		batch := NewBatch(tr, fol)
 		var corpus [][]ast.Symbol
 		for i := 0; i < 25; i++ {
 			switch i % 3 {
@@ -113,10 +88,7 @@ func TestScanAndBatchAgainstOracle(t *testing.T) {
 func TestBatchManyIdenticalAndEmpty(t *testing.T) {
 	alpha := ast.NewAlphabet()
 	tr, fol := compile(t, ast.MustParseMath("a?b?c?", alpha), alpha)
-	b, err := NewBatch(tr, fol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBatch(tr, fol)
 	a, _ := alpha.Lookup("a")
 	c, _ := alpha.Lookup("c")
 	ws := [][]ast.Symbol{
@@ -144,10 +116,7 @@ func TestBatchScale(t *testing.T) {
 	e := wordgen.StarFree(r, alpha, 20, 200)
 	tr, fol := compile(t, e, alpha)
 	oracle := glushkov.Build(tr)
-	batch, err := NewBatch(tr, fol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := NewBatch(tr, fol)
 	var corpus [][]ast.Symbol
 	for i := 0; i < 500; i++ {
 		if w, ok := words.RandomWord(r, fol, 40, 0.2); ok && i%2 == 0 {
@@ -170,10 +139,7 @@ func TestBatchScale(t *testing.T) {
 func TestBatchConcurrentPooledScratch(t *testing.T) {
 	alpha := ast.NewAlphabet()
 	tr, fol := compile(t, ast.MustParseMath("((a+ba)(c?))(d?b)", alpha), alpha)
-	b, err := NewBatch(tr, fol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBatch(tr, fol)
 	ws := [][]string{
 		{"b", "c", "d", "b"},
 		{"a", "c", "d", "b", "a"},
@@ -211,10 +177,7 @@ func TestBatchAllocsSteadyState(t *testing.T) {
 	}
 	alpha := ast.NewAlphabet()
 	tr, fol := compile(t, ast.MustParseMath("((a+ba)(c?))(d?b)", alpha), alpha)
-	b, err := NewBatch(tr, fol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBatch(tr, fol)
 	a, _ := alpha.Lookup("a")
 	c, _ := alpha.Lookup("c")
 	d, _ := alpha.Lookup("d")

@@ -32,16 +32,28 @@ import (
 // Dead is the absent-transition sentinel stored in the table.
 const Dead int32 = -1
 
-// DefaultBudget caps positions × alphabet table entries; above it New
-// refuses to build and callers fall back to the linear-precomputation
-// engines. 1<<20 int32 entries is 4 MiB — far beyond any real-world
-// content model (the 1-ORE models that dominate real corpora are a few
-// dozen entries) while still small enough that even a pathological cache
-// of thousands of table-built expressions stays modest.
+// DefaultBudget caps the dense table: see Fits. 1<<20 int32 entries is
+// 4 MiB — far beyond any real-world content model (the 1-ORE models that
+// dominate real corpora are a few dozen entries) while still small enough
+// that even a pathological cache of thousands of table-built expressions
+// stays modest.
 const DefaultBudget = 1 << 20
 
-// ErrBudget is returned by New when positions × alphabet exceeds the
-// budget; Auto selection treats it as "use the next tier".
+// Fits reports whether a dense table fits DefaultBudget; states counts the
+// positions and sigma the symbols, the phantom # and $ included in both.
+// Both terms matter: the table itself is states×sigma entries, but
+// construction probes every position pair, so a small-alphabet expression
+// with many repeated symbols (tiny table, huge pair count) must fall back
+// too — otherwise a ~300 KB "a,a,a,…" model reaching Auto through a
+// validator or the server would stall for minutes where the §4 engines
+// guarantee linear precomputation. Auto's tier choice, New and the counter
+// engine's table all ask this one rule.
+func Fits(states, sigma int) bool {
+	return states*sigma <= DefaultBudget && states*states <= DefaultBudget
+}
+
+// ErrBudget is returned by New for an expression that does not Fit; Auto
+// selection treats it as "use the next tier".
 var ErrBudget = errors.New("table: expression exceeds the dense-table size budget")
 
 // DFA is the dense-table transition simulator. It implements
@@ -63,29 +75,15 @@ type DFA struct {
 }
 
 // New builds the table in O(positions² + positions×σ) time and
-// positions×σ space, or fails with ErrBudget when either cost exceeds
-// budget (budget ≤ 0 selects DefaultBudget). Both terms matter: the table
-// itself is positions×σ entries, but construction probes every position
-// pair, so a small-alphabet expression with many repeated symbols (tiny
-// table, huge pair count) must fall back too — otherwise a ~300 KB
-// "a,a,a,…" model reaching Auto through a validator or the server would
-// stall for minutes where the §4 engines guarantee linear precomputation.
-// The expression must be deterministic — with a doubly-matchable symbol
-// the table would silently keep only the first follower in document order
-// — which the public API layer enforces.
-func New(t *parsetree.Tree, fol *follow.Index, budget int) (*DFA, error) {
-	if budget <= 0 {
-		budget = DefaultBudget
-	}
+// positions×σ space, or fails with ErrBudget when the expression does not
+// Fit. The expression must be deterministic — with a doubly-matchable
+// symbol the table would silently keep only the first follower in document
+// order — which the public API layer enforces.
+func New(t *parsetree.Tree, fol *follow.Index) (*DFA, error) {
 	states := t.NumPositions()
 	sigma := t.Alpha.Size()
-	if entries := states * sigma; entries > budget {
-		return nil, fmt.Errorf("%w (%d positions × %d symbols = %d entries > %d)",
-			ErrBudget, states, sigma, entries, budget)
-	}
-	if pairs := states * states; pairs > budget {
-		return nil, fmt.Errorf("%w (%d² = %d construction probes > %d)",
-			ErrBudget, states, pairs, budget)
+	if !Fits(states, sigma) {
+		return nil, fmt.Errorf("%w (%d positions, %d symbols)", ErrBudget, states, sigma)
 	}
 	d := &DFA{
 		t:        t,

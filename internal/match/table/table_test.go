@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dregex/internal/ast"
@@ -41,7 +42,7 @@ func TestDFAMatchesKnownWords(t *testing.T) {
 	}
 	for _, c := range cases {
 		tr, fol, alpha := compile(t, c.expr)
-		d, err := New(tr, fol, 0)
+		d, err := New(tr, fol)
 		if err != nil {
 			t.Fatalf("New(%q): %v", c.expr, err)
 		}
@@ -88,7 +89,7 @@ func TestDFAAgreesWithKore(t *testing.T) {
 			t.Fatal(err)
 		}
 		fol := follow.New(tr)
-		d, err := New(tr, fol, 0)
+		d, err := New(tr, fol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestDFAAgreesWithKore(t *testing.T) {
 // the per-word state is the single current NodeID.
 func TestDFAStream(t *testing.T) {
 	tr, fol, alpha := compile(t, "a(b+c)*d")
-	d, err := New(tr, fol, 0)
+	d, err := New(tr, fol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,21 +142,32 @@ func TestDFAStream(t *testing.T) {
 	}
 }
 
+// TestDFABudget pins the budget rule: both the table (states × sigma
+// entries) and its construction (states² probes) must fit DefaultBudget,
+// and New refuses what does not Fit.
 func TestDFABudget(t *testing.T) {
-	tr, fol, _ := compile(t, "a(b+c)*d")
-	entries := tr.NumPositions() * tr.Alpha.Size()
-	if _, err := New(tr, fol, entries); err != nil {
-		t.Fatalf("budget == entries (%d) must build: %v", entries, err)
+	for _, c := range []struct {
+		states, sigma int
+		fits          bool
+	}{
+		{1024, 1024, true},
+		{1024, 1025, false}, // the table is one row past the budget
+		{1025, 2, false},    // a tiny table, but 1025² construction probes
+	} {
+		if got := Fits(c.states, c.sigma); got != c.fits {
+			t.Errorf("Fits(%d, %d) = %v, want %v", c.states, c.sigma, got, c.fits)
+		}
 	}
-	_, err := New(tr, fol, entries-1)
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("budget == entries-1 must fail with ErrBudget, got %v", err)
+	// 1023 user positions plus # and $ are 1025 states.
+	tr, fol, _ := compile(t, strings.Repeat("a", 1023))
+	if _, err := New(tr, fol); !errors.Is(err, ErrBudget) {
+		t.Fatalf("New on a 1023-symbol concatenation: %v, want ErrBudget", err)
 	}
 }
 
 func TestDFARejectsForeignSymbols(t *testing.T) {
 	tr, fol, _ := compile(t, "ab")
-	d, err := New(tr, fol, 0)
+	d, err := New(tr, fol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +189,7 @@ func TestDFARejectsForeignSymbols(t *testing.T) {
 
 func TestDFAEntries(t *testing.T) {
 	tr, fol, _ := compile(t, "ab")
-	d, err := New(tr, fol, 0)
+	d, err := New(tr, fol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@
 // walks with one span lookup plus the counter checks of stepVia.
 //
 // The table is built lazily on first use (determinism-checking workloads
-// never pay for it) and only while positions × alphabet stays within the
-// same budget as the plain dense table, so precomputation stays linear for
+// never pay for it) and only while it passes the plain dense table's
+// budget rule (table.Fits), so precomputation stays linear for
 // pathological sizes exactly like the plain engine ladder.
 package numeric
 
@@ -38,35 +38,31 @@ type transTable struct {
 	entries []transEntry
 }
 
-// tableBudget caps positions × alphabet span slots, shared with the plain
-// dense-table tier.
-const tableBudget = table.DefaultBudget
-
 // table returns the counter-augmented transition table, building it on
 // first use, or nil when the expression exceeds the budget (the caller
 // falls back to appendSteps' on-the-fly enumeration).
 func (c *Counted) table() *transTable {
 	c.tabOnce.Do(func() {
 		if !c.noTable {
-			c.tab = c.buildTable(tableBudget)
+			c.tab = c.buildTable()
 		}
 	})
 	return c.tab
 }
 
 // buildTable materializes the structural candidates for every (position,
-// symbol) pair, or returns nil above the budget. Construction enumerates
-// every position pair once — O(positions² · chain) — so like the plain
-// dense table both the span count (rows × alphabet) and the pair count
-// (rows²) must fit the budget: a long small-alphabet counted model would
-// otherwise stall the first Feed (and, through tabOnce, every concurrent
-// stream) for minutes. The entry arena is capped at the budget too, so
-// memory stays bounded even under deep loop nesting.
-func (c *Counted) buildTable(budget int) *transTable {
+// symbol) pair, or returns nil when the rows do not table.Fits.
+// Construction enumerates every position pair once — O(positions² ·
+// chain) — the cost table.Fits bounds for the plain dense table too: a
+// long small-alphabet counted model would otherwise stall the first Feed
+// (and, through tabOnce, every concurrent stream) for minutes. The entry
+// arena is capped at the same budget, so memory stays bounded even under
+// deep loop nesting.
+func (c *Counted) buildTable() *transTable {
 	t := c.Tree
 	rows := t.NumPositions()
 	sigma := t.Alpha.Size()
-	if rows*sigma > budget || rows*rows > budget {
+	if !table.Fits(rows, sigma) {
 		return nil
 	}
 	tab := &transTable{
@@ -74,7 +70,7 @@ func (c *Counted) buildTable(budget int) *transTable {
 		spans: make([]int32, rows*sigma+1),
 	}
 	for ri, p := range t.PosNode {
-		if len(tab.entries) > budget {
+		if len(tab.entries) > table.DefaultBudget {
 			return nil // entry arena past the budget — fall back
 		}
 		for a := 0; a < sigma; a++ {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dregex/internal/ast"
+	"dregex/internal/match/table"
 	"dregex/internal/wordgen"
 	"dregex/internal/words"
 )
@@ -67,9 +68,8 @@ func TestTableAgreesWithFallback(t *testing.T) {
 	}
 }
 
-// TestTableBudgetFallsBack proves the budget gate: an expression whose
-// positions × alphabet exceeds the budget gets no table and silently takes
-// the enumeration path.
+// TestTableBudgetFallsBack proves the budget gate: an expression that does
+// not table.Fits gets no table and silently takes the enumeration path.
 func TestTableBudgetFallsBack(t *testing.T) {
 	alpha := ast.NewAlphabet()
 	// ~1100 distinct counted factors: positions ≈ sigma ≈ 1100, so
@@ -83,8 +83,8 @@ func TestTableBudgetFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Tree.NumPositions() * c.Alpha.Size(); got <= tableBudget {
-		t.Fatalf("test expression too small to prove the budget gate: %d entries", got)
+	if table.Fits(c.Tree.NumPositions(), c.Alpha.Size()) {
+		t.Fatal("test expression too small to prove the budget gate")
 	}
 	w := c.Alpha.LookupWord(nil, []string{
 		wordgen.SymbolName(0), wordgen.SymbolName(0),
@@ -108,8 +108,8 @@ func TestTableBudgetFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c2.Tree.NumPositions() * c2.Alpha.Size(); got > tableBudget {
-		t.Fatalf("control expression unexpectedly over budget: %d entries", got)
+	if !table.Fits(c2.Tree.NumPositions(), c2.Alpha.Size()) {
+		t.Fatal("control expression unexpectedly over budget")
 	}
 	w2 := c2.Alpha.LookupWord(nil, []string{wordgen.SymbolName(2), wordgen.SymbolName(2)})
 	if !c2.Match(w2) {

@@ -131,18 +131,13 @@ func Parse(source string, nt ast.Notation, numeric bool) (*Tree, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	alpha := ast.NewAlphabet()
-	// Every record but a math-notation juxtaposition consumes a byte of
-	// source, and juxtapositions are fewer than symbols; without nested
-	// e+, the normal form about doubles the records at most.
-	size := len(source)
-	if nt == ast.MathNotation {
-		size *= 2
-	}
-	sc.raw = reserve(sc.raw, size)
+	// The grammar's appends grow the pooled buffer, so a source rejected
+	// early, at a nesting or syntax error, pays only for what was read.
 	var err error
-	if sc.raw, err = ast.AppendParse(sc.raw, source, alpha, nt); err != nil {
+	if sc.raw, err = ast.AppendParse(sc.raw[:0], source, alpha, nt); err != nil {
 		return nil, err
 	}
+	// Without nested e+, the normal form about doubles the records at most.
 	sc.recs = reserve(sc.recs, 2*len(sc.raw))
 	if sc.recs, err = ast.AppendNormal(sc.recs, sc.raw); err != nil {
 		return nil, err

@@ -597,6 +597,20 @@ func TestNestingRejected(t *testing.T) {
 	}
 }
 
+// TestLargeSourceSyntaxError: the 422 for a 2 MB source with a syntax
+// error at its end quotes only the input around the error, so the client
+// decodes the body and reports the offset.
+func TestLargeSourceSyntaxError(t *testing.T) {
+	_, _, c := newTestServer(t)
+	src := "a" + strings.Repeat(" ", 2<<20) + ")"
+	_, err := c.Compile(context.Background(), client.CompileRequest{Expr: src, Syntax: client.SyntaxMath})
+	want := fmt.Sprintf("at offset %d", len(src)-1)
+	if ae, ok := err.(*client.APIError); !ok || ae.Status != http.StatusUnprocessableEntity ||
+		!strings.Contains(ae.Msg, want) || len(ae.Msg) >= 512 {
+		t.Errorf("compile of a 2 MB bad source: %.300v, want a 422 under 512 bytes with %q", err, want)
+	}
+}
+
 // TestExpansionBudgetRejected: a model whose nested + would desugar past
 // dregex.ExpansionBudget is the input's own compile error — 422 on
 // /v1/compile and on PUT /v1/schemas, where the old version stays live.

@@ -33,7 +33,8 @@ const (
 	// Table is the flat-table DFA: the Glushkov automaton of a
 	// deterministic expression materialized as a dense transition table
 	// (states = positions, no subset construction), O(1) loads per symbol.
-	// Available only while positions × alphabet stays within TableBudget.
+	// Available only while the table and its construction fit
+	// TableBudget.
 	Table
 	// KORE is Theorem 4.3: O(k) per symbol.
 	KORE
@@ -59,22 +60,18 @@ const (
 )
 
 // TableBudget caps the dense-table tier: Auto selects Table only while
-// (positions+2) × (alphabet+2) table entries — the phantom # and $ occupy
-// one state and two columns — stay within it. Above the budget the
-// linear-precomputation engines of §4 take over, keeping the paper's
+// both the table, (positions+2) × (alphabet+2) entries — the phantom # and
+// $ occupy one state and two columns — and its construction,
+// (positions+2)² pair probes, stay within it (table.Fits). Above the budget
+// the linear-precomputation engines of §4 take over, keeping the paper's
 // O(|e|) preprocessing guarantee for pathological sizes.
 const TableBudget = table.DefaultBudget
 
-// tableEligible reports whether Auto may pick the dense-table tier. Both
-// the table size (positions × alphabet) and the construction work
-// (positions², every pair is probed once) must fit the budget — mirroring
-// table.New exactly, so Auto never selects a tier that would then refuse
-// to build.
+// tableEligible reports whether Auto may pick the dense-table tier: the
+// rule table.New builds under, so Auto never selects a tier that would
+// then refuse to build.
 func tableEligible(st Stats) bool {
-	states := st.Positions + 2 // the phantom # and $ are states too
-	return st.Deterministic &&
-		states*(st.Sigma+2) <= TableBudget &&
-		states*states <= TableBudget
+	return st.Deterministic && table.Fits(st.Positions+2, st.Sigma+2)
 }
 
 // koreMaxK is K*, the largest occurrence bound k at which the ladder sweep
@@ -158,29 +155,31 @@ func (e *Expr) Matcher(algo Algorithm) (*Matcher, error) {
 }
 
 // buildMatcher constructs one engine; it runs at most once per algorithm
-// per Expr, under the engine slot's sync.Once.
+// per Expr, under the engine slot's sync.Once. Matcher has already refused
+// a nondeterministic expression for every engine but NFA, so the engines
+// are built on the compile-time verdict and do not test it again.
 func (e *Expr) buildMatcher(algo Algorithm) (*Matcher, error) {
 	m := &Matcher{expr: e, algo: algo}
 	var err error
 	switch algo {
 	case Table:
-		var d *table.DFA
-		if d, err = table.New(e.tree, e.fol, TableBudget); err == nil {
-			m.tab = d
-			m.sim = d
-		}
+		m.tab, err = table.New(e.tree, e.fol)
+		m.sim = m.tab
 	case KORE:
 		m.sim = kore.New(e.tree, e.fol)
 	case Colored:
-		m.sim, err = colored.New(e.tree, e.fol, colored.Options{})
+		m.sim = colored.New(e.tree, e.fol, colored.Options{})
 	case ColoredBinary:
-		m.sim, err = colored.New(e.tree, e.fol, colored.Options{BinarySearch: true})
+		m.sim = colored.New(e.tree, e.fol, colored.Options{BinarySearch: true})
 	case PathDecomp:
 		m.sim, err = pathdecomp.New(e.tree, e.fol)
 	case StarFreeScan:
-		m.sim, err = starfree.NewScan(e.tree, e.fol)
+		if !e.stats.StarFree {
+			return nil, starfree.ErrNotStarFree
+		}
+		m.sim = starfree.NewScan(e.tree, e.fol)
 	case Climbing:
-		m.sim, err = colored.NewClimbing(e.tree, e.fol)
+		m.sim = colored.NewClimbing(e.tree, e.fol)
 	case NFA:
 		m.nfa = kore.NewNFA(e.tree, e.fol)
 	}
@@ -190,15 +189,14 @@ func (e *Expr) buildMatcher(algo Algorithm) (*Matcher, error) {
 	return m, nil
 }
 
-// batchEngine returns the cached Theorem 4.12 star-free batch engine.
-func (e *Expr) batchEngine() (*starfree.Batch, error) {
+// batchEngine returns the cached Theorem 4.12 star-free batch engine; the
+// caller has checked that the expression is deterministic and star-free.
+func (e *Expr) batchEngine() *starfree.Batch {
 	e.batch.once.Do(func() {
-		e.batch.b, e.batch.err = starfree.NewBatch(e.tree, e.fol)
-		if e.batch.err == nil {
-			batchBuilds.Add(1)
-		}
+		e.batch.b = starfree.NewBatch(e.tree, e.fol)
+		batchBuilds.Add(1)
 	})
-	return e.batch.b, e.batch.err
+	return e.batch.b
 }
 
 func errNondet(e *Expr) error {
@@ -305,9 +303,7 @@ func (m *Matcher) MatchReaderTokens(r io.Reader) (bool, error) {
 // simulators, is built once and reused across calls.
 func (e *Expr) MatchAll(wordsNames [][]string, algo Algorithm) ([]bool, error) {
 	if algo == Auto && e.det.Deterministic && e.stats.StarFree && e.auto != Table {
-		if b, err := e.batchEngine(); err == nil {
-			return b.MatchAllNames(wordsNames), nil
-		}
+		return e.batchEngine().MatchAllNames(wordsNames), nil
 	}
 	// Matcher enforces determinism for every engine except NFA, so an
 	// explicit NFA request works on nondeterministic expressions here
@@ -326,9 +322,7 @@ func (e *Expr) MatchAll(wordsNames [][]string, algo Algorithm) ([]bool, error) {
 // MatchAllWords is MatchAll over pre-interned words (see Expr.Intern).
 func (e *Expr) MatchAllWords(words [][]ast.Symbol, algo Algorithm) ([]bool, error) {
 	if algo == Auto && e.det.Deterministic && e.stats.StarFree && e.auto != Table {
-		if b, err := e.batchEngine(); err == nil {
-			return b.MatchAll(words), nil
-		}
+		return e.batchEngine().MatchAll(words), nil
 	}
 	m, err := e.Matcher(algo)
 	if err != nil {

@@ -94,10 +94,10 @@ func (e *NumericExpr) diagnose(det *determinism.Result) *Ambiguity {
 }
 
 // MatchSymbols matches a word of symbol names by counter simulation.
-func (e *NumericExpr) MatchSymbols(names []string) bool { return e.c.MatchNames(names) }
+func (e *NumericExpr) MatchSymbols(names []string) bool { return e.m.MatchSymbols(names) }
 
 // MatchWord matches a word of interned symbols (see NumericExpr.Intern).
-func (e *NumericExpr) MatchWord(word []ast.Symbol) bool { return e.c.Match(word) }
+func (e *NumericExpr) MatchWord(word []ast.Symbol) bool { return e.m.MatchWord(word) }
 
 // Intern translates symbol names to interned symbols without mutating the
 // alphabet; unknown names map to a sentinel the simulation rejects.
@@ -111,19 +111,8 @@ func (e *NumericExpr) InternInto(dst []ast.Symbol, names []string) []ast.Symbol 
 	return e.c.Alpha.LookupWord(dst, names)
 }
 
-// MatchText matches a math-notation word (one rune per symbol), interning
-// runes directly instead of materializing a per-rune string slice.
-func (e *NumericExpr) MatchText(w string) bool {
-	word := make([]ast.Symbol, 0, len(w))
-	for _, r := range w {
-		s, ok := e.c.Alpha.LookupRune(r)
-		if !ok {
-			return false
-		}
-		word = append(word, s)
-	}
-	return e.c.Match(word)
-}
+// MatchText matches a math-notation word (one rune per symbol).
+func (e *NumericExpr) MatchText(w string) bool { return e.m.MatchText(w) }
 
 // IterationStats summarizes the counter structure.
 func (e *NumericExpr) IterationStats() numeric.Stats { return e.c.Stats() }
@@ -160,17 +149,17 @@ func (m *NumericMatcher) MatchSymbols(names []string) bool { return m.c.MatchNam
 // fresh stream per call.
 func (m *NumericMatcher) MatchWord(word []ast.Symbol) bool { return m.c.Match(word) }
 
-// MatchText matches a math-notation word (one rune per symbol).
+// MatchText matches a math-notation word (one rune per symbol), feeding
+// each rune to a stream as it is decoded: no interned word is built.
 func (m *NumericMatcher) MatchText(w string) bool {
-	word := make([]ast.Symbol, 0, len(w))
+	var s NumericStream
+	s.Init(m.c)
 	for _, r := range w {
-		s, ok := m.c.Alpha.LookupRune(r)
-		if !ok {
+		if !s.FeedRune(r) {
 			return false
 		}
-		word = append(word, s)
 	}
-	return m.c.Match(word)
+	return s.Accepts()
 }
 
 // Stream starts an incremental match at the empty prefix.

@@ -40,6 +40,8 @@ func TestNumericMatching(t *testing.T) {
 		"abc":       false,
 		"ababababc": false,
 		"abab":      false,
+		"abaxbc":    false, // x is not in the alphabet
+		"#ababc":    false, // nor is the phantom #
 	} {
 		if got := e.MatchText(w); got != want {
 			t.Errorf("MatchText(%q) = %v, want %v", w, got, want)
