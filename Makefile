@@ -77,9 +77,9 @@ bench:
 bench-snapshot: bench
 
 # Pinned hot-path benchmarks: the 0/1-alloc steady-state paths, the
-# dense-table tier, the validation driver (ValidateWide, ValidateIDs), and
-# the compile path (CompileSource, MatcherFresh), whose allocations must
-# not grow with the expression again. bench-check runs just these, wraps the output in a
+# dense-table tier, the validation driver (ValidateWide, ValidateIDs,
+# ValidateCounted), and the compile path (CompileSource, MatcherFresh),
+# whose allocations must not grow with the expression again. bench-check runs just these, wraps the output in a
 # snapshot, and diffs it against the newest committed BENCH_*.json with the
 # regression gate: >25% worse on a gated metric (or any movement off a
 # pinned zero) fails. CI gates the allocation metrics only — B/op and
@@ -89,7 +89,7 @@ bench-snapshot: bench
 # preemption off: the runtime allocates a few KB around it, which landed
 # as 2-5 B/op on 0-allocs/op benchmarks in about one run in ten, while a
 # real allocation on a pinned path still reads as one.
-BENCH_PINNED := MatcherFresh|CompileSource|MatcherCached|MatchWordInterned|MatchAllCached|CacheGet|NumericStreamInterned|TableVsKore|ServerValidateE2E|ServerValidateMetrics|ServerValidateLimited|XMLTok|ParseWord|LexerStream|ValidateWide|ValidateIDs
+BENCH_PINNED := MatcherFresh|CompileSource|MatcherCached|MatchWordInterned|MatchAllCached|CacheGet|NumericStreamInterned|TableVsKore|ServerValidateE2E|ServerValidateMetrics|ServerValidateLimited|XMLTok|ParseWord|LexerStream|ValidateWide|ValidateIDs|ValidateCounted
 BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
 GATE_UNITS ?= B/op,allocs/op
 bench-check:

@@ -56,12 +56,13 @@ type Counted struct {
 
 	det *determinism.Result
 
-	// tab is the counter-augmented transition table (table.go), built
-	// lazily under tabOnce so determinism-only workloads never pay for it;
-	// noTable disables it (tests force the fallback enumeration).
-	tabOnce sync.Once
-	tab     *transTable
-	noTable bool
+	// dfa is the configuration DFA (dfa.go), built lazily under dfaOnce
+	// on the first stream Init, so determinism-only workloads never pay
+	// for it; nil when the stream simulates. noDFA disables it (tests
+	// force the simulation).
+	dfaOnce sync.Once
+	dfa     *dfa
+	noDFA   bool
 }
 
 // Compile normalizes (as ast.Normalize does: Min ≥ 1, Max ≥ 2 for every

@@ -1,10 +1,12 @@
-// Streaming counter simulation. A Stream holds the set of live run
-// configurations — (position, counter vector) pairs — in flat reusable
-// buffers, so feeding a symbol performs no allocation once the buffers have
-// grown to the expression's configuration width. For deterministic counted
-// expressions the set stays a singleton and a feed is one transition plus a
-// counter update; the same machinery decides membership exactly for
-// nondeterministic expressions too (the set then tracks every live run).
+// Streaming counter matching. A Stream of a deterministic counted
+// expression steps its configuration DFA (dfa.go): a state number, one
+// table load per symbol. Otherwise — a nondeterministic expression, or
+// configurations past the budget — it holds the set of live run
+// configurations, (position, counter vector) pairs, in flat reusable
+// buffers, so feeding a symbol performs no allocation once the buffers
+// have grown to the expression's configuration width; the set decides
+// membership exactly for nondeterministic expressions too (it then tracks
+// every live run).
 package numeric
 
 import (
@@ -12,6 +14,7 @@ import (
 	"strconv"
 
 	"dregex/internal/ast"
+	"dregex/internal/match/table"
 	"dregex/internal/parsetree"
 	"dregex/internal/run"
 )
@@ -61,6 +64,13 @@ outer:
 		}
 		return // duplicate
 	}
+	s.push(q, v)
+}
+
+// push appends configuration (q, v), copying v.
+//
+//dregex:noalloc
+func (s *cfgSet) push(q parsetree.NodeID, v []int32) {
 	s.pos = append(s.pos, q)
 	s.off = append(s.off, int32(len(s.ctr)))
 	s.ctr = append(s.ctr, v...)
@@ -69,13 +79,18 @@ outer:
 // Stream is an incremental counter matcher: feed symbols one at a time,
 // query acceptance at any prefix. It is the counter engine's run.Runner —
 // the engine-independent bookkeeping (liveness, length, the opt-in witness
-// trace) is the embedded run.Core; this type adds the configuration-set
-// state of the §3.3 simulation. The zero value is unusable, call NewStream
-// or Init; built for reuse: one Stream per worker or stack frame, re-Init
-// (or Reset) per word, with all internal buffers retained across words.
+// trace) is the embedded run.Core; this type adds a DFA state or the
+// configuration-set state of the §3.3 simulation. The zero value is
+// unusable, call NewStream or Init; built for reuse: one Stream per worker
+// or stack frame, re-Init (or Reset) per word, with all internal buffers
+// retained across words.
 type Stream struct {
 	run.Core
 	c *Counted
+	// d is c's configuration DFA (nil: simulate). state is the current
+	// state while alive, and the last viable one once dead.
+	d     *dfa
+	state int32
 	// cur is the live configuration set while alive, and the LAST VIABLE
 	// set once dead — kept so ExpectedNext can report what could have
 	// extended the run at the point of failure.
@@ -96,10 +111,12 @@ func NewStream(c *Counted) *Stream {
 
 // Init (re)binds a stream to a compiled expression and rewinds it to the
 // empty prefix, retaining internal buffers — the zero-allocation reuse
-// path, matching match.Stream.Init.
+// path, matching match.Stream.Init. The first Init on a deterministic
+// expression builds its configuration DFA.
 func (s *Stream) Init(c *Counted) {
 	s.c = c
-	if cap(s.tmp) < c.maxChain {
+	s.d = c.automaton()
+	if s.d == nil && cap(s.tmp) < c.maxChain {
 		s.tmp = make([]int32, c.maxChain)
 	}
 	s.Reset()
@@ -107,8 +124,12 @@ func (s *Stream) Init(c *Counted) {
 
 // Reset rewinds the stream to the empty prefix.
 func (s *Stream) Reset() {
-	s.cur.reset()
-	s.cur.add(s.c.Tree.BeginPos(), nil)
+	if s.d != nil {
+		s.state = 0
+	} else {
+		s.cur.reset()
+		s.cur.add(s.c.Tree.BeginPos(), nil)
+	}
 	s.Rewind()
 }
 
@@ -117,6 +138,20 @@ func (s *Stream) Reset() {
 //
 //dregex:noalloc
 func (s *Stream) Feed(a ast.Symbol) bool {
+	if d := s.d; d != nil {
+		if !s.Alive() || uint32(a-ast.FirstUser) >= uint32(d.sigma-int32(ast.FirstUser)) {
+			s.Kill()
+			return false
+		}
+		next := d.next[s.state*d.sigma+int32(a)]
+		if next == table.Dead {
+			s.Kill() // state keeps the last viable configuration
+			return false
+		}
+		s.state = next
+		s.Advance(d.cfgs.pos[next])
+		return true
+	}
 	if !s.Alive() || a < ast.FirstUser {
 		s.Kill()
 		return false
@@ -178,6 +213,9 @@ func (s *Stream) Accepts() bool {
 	if !s.Alive() {
 		return false
 	}
+	if d := s.d; d != nil {
+		return d.accept[s.state/64]&(1<<(s.state%64)) != 0
+	}
 	c := s.c
 	s.acc.reset()
 	for i := 0; i < s.cur.n(); i++ {
@@ -195,9 +233,19 @@ func (s *Stream) Alphabet() *ast.Alphabet { return s.c.Alpha }
 
 // ExpectedNext implements run.Runner: the symbols with at least one legal
 // successor configuration from the last viable set, i.e. exactly the legal
-// continuations at (or, once dead, just before) the failure point. O(σ)
-// trial steps — an error-path diagnostic, not a hot path.
+// continuations at (or, once dead, just before) the failure point: the
+// live columns of the DFA row, or O(σ) trial steps of the simulation — an
+// error-path diagnostic, not a hot path.
 func (s *Stream) ExpectedNext(dst []ast.Symbol) []ast.Symbol {
+	if d := s.d; d != nil {
+		row := d.next[s.state*d.sigma : (s.state+1)*d.sigma]
+		for a := ast.FirstUser; int(a) < len(row); a++ {
+			if row[a] != table.Dead {
+				dst = append(dst, a)
+			}
+		}
+		return dst
+	}
 	c := s.c
 	for a := ast.FirstUser; int(a) < c.Alpha.Size(); a++ {
 		s.acc.reset()
@@ -219,13 +267,7 @@ func (s *Stream) ExpectedNext(dst []ast.Symbol) []ast.Symbol {
 // with counters). Counter values of unbounded iterations are capped at Min
 // — the behaviour is constant beyond it — so the configuration space is
 // finite. tmp is a caller-provided scratch of at least maxChain entries.
-//
-// The structural half of the work — the LCA query and the
-// InFirst/InLast checks along the loop chain — depends only on (p, q),
-// never on the counters, which is exactly what the counter-augmented
-// transition table precomputes (see table.go). This function is the
-// fallback enumeration for expressions beyond the table budget; both
-// paths funnel into stepVia for the counter checks.
+// The configuration DFA (dfa.go) is built from these same steps.
 //
 //dregex:noalloc
 func (c *Counted) appendSteps(p parsetree.NodeID, pc []int32, q parsetree.NodeID, out *cfgSet, tmp []int32) {
@@ -326,6 +368,18 @@ func (c *Counted) stepVia(p parsetree.NodeID, pc []int32, q, n, pivot parsetree.
 	out.add(q, dst)
 }
 
+// stepAll appends every legal successor configuration of (p, pc) on
+// symbol a to out.
+//
+//dregex:noalloc
+func (c *Counted) stepAll(p parsetree.NodeID, pc []int32, a ast.Symbol, out *cfgSet, tmp []int32) {
+	if int(a) < len(c.bySym) {
+		for _, q := range c.bySym[a] {
+			c.appendSteps(p, pc, q, out, tmp)
+		}
+	}
+}
+
 // nextLoopUp returns the next loop node strictly above s.
 func nextLoopUp(t *parsetree.Tree, s parsetree.NodeID) parsetree.NodeID {
 	if p := t.Parent[s]; p != parsetree.Null {
@@ -370,9 +424,19 @@ func (c *Counted) SortedConfigs(word []ast.Symbol) []string {
 			return nil
 		}
 	}
-	keys := make([]string, 0, s.cur.n())
-	for i := 0; i < s.cur.n(); i++ {
-		p, ctr := s.cur.at(c, i)
+	return s.sortedConfigs()
+}
+
+// sortedConfigs renders the stream's configurations, the DFA state's one
+// or the live set, sorted.
+func (s *Stream) sortedConfigs() []string {
+	set, lo, hi := &s.cur, 0, s.cur.n()
+	if s.d != nil {
+		set, lo, hi = &s.d.cfgs, int(s.state), int(s.state)+1
+	}
+	keys := make([]string, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		p, ctr := set.at(s.c, i)
 		k := strconv.Itoa(int(p))
 		for _, v := range ctr {
 			k += "," + strconv.Itoa(int(v))

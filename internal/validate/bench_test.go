@@ -7,6 +7,7 @@ import (
 
 	"dregex"
 	"dregex/internal/dtd"
+	"dregex/internal/xsd"
 )
 
 // wideDTD declares a root whose model (e0|…|e{n-1})* has n positions over
@@ -57,6 +58,51 @@ func idDoc(items int) []byte {
 	}
 	b.WriteString(`</doc>`)
 	return []byte(b.String())
+}
+
+// batchXSD is a batch-shaped schema: each series holds point{2,12} and a
+// (flag|comment){0,3} choice, so its model runs on the counter engine.
+const batchXSD = `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="batch"><xs:complexType><xs:sequence>
+    <xs:element name="source" type="xs:string"/>
+    <xs:element name="series" minOccurs="0" maxOccurs="unbounded"><xs:complexType><xs:sequence>
+      <xs:element name="label" type="xs:string"/>
+      <xs:element name="point" type="xs:string" minOccurs="2" maxOccurs="12"/>
+      <xs:choice minOccurs="0" maxOccurs="3">
+        <xs:element name="flag" type="xs:string"/>
+        <xs:element name="comment" type="xs:string"/>
+      </xs:choice>
+      <xs:element name="unit" type="xs:string" minOccurs="0"/>
+    </xs:sequence></xs:complexType></xs:element>
+  </xs:sequence></xs:complexType></xs:element>
+</xs:schema>`
+
+// batchDoc is a batch of n series with 2–12 points, 0–3 flags or
+// comments and an optional unit each; it returns the document and its
+// element count.
+func batchDoc(n int) ([]byte, int) {
+	var b strings.Builder
+	b.WriteString("<batch><source>s</source>")
+	elems := 2
+	for i := 0; i < n; i++ {
+		b.WriteString("<series><label>l</label>")
+		points := 2 + i%11
+		for j := 0; j < points; j++ {
+			fmt.Fprintf(&b, "<point>%d</point>", j)
+		}
+		extras := i % 4
+		for j := 0; j < extras; j++ {
+			b.WriteString([]string{"<flag>f</flag>", "<comment>c</comment>"}[(i+j)%2])
+		}
+		unit := i % 2
+		if unit == 1 {
+			b.WriteString("<unit>u</unit>")
+		}
+		b.WriteString("</series>")
+		elems += 2 + points + extras + unit
+	}
+	b.WriteString("</batch>")
+	return []byte(b.String()), elems
 }
 
 func mustDTD(tb testing.TB, src string) *dtd.DTD {
@@ -167,4 +213,26 @@ func BenchmarkValidateIDs(b *testing.B) {
 		d.ValidateBytesReusing(doc, &st)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(items+1), "ns/elem")
+}
+
+// BenchmarkValidateCounted is the driver's per-element cost on counter
+// models: 300 batch-shaped series, whose children step the point{2,12} and
+// (flag|comment){0,3} counters.
+func BenchmarkValidateCounted(b *testing.B) {
+	s, err := xsd.ParseWithCache([]byte(batchXSD), dregex.NewCache(16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	doc, elems := batchDoc(300)
+	var st xsd.DocState
+	if errs, err := s.ValidateBytesReusing(doc, &st); err != nil || len(errs) != 0 {
+		b.Fatalf("valid document rejected: %v %v", errs, err)
+	}
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ValidateBytesReusing(doc, &st)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elems), "ns/elem")
 }

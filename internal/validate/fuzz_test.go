@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"dregex/internal/dtd"
 	"dregex/internal/follow"
 	"dregex/internal/glushkov"
+	"dregex/internal/numeric"
 	"dregex/internal/parsetree"
 	"dregex/internal/wordgen"
 	"dregex/internal/words"
@@ -27,12 +29,19 @@ import (
 // the validators' verdicts are checked against a slow reference that reads
 // the document with encoding/xml and simulates every element's Glushkov
 // automaton by position sets on names — no determinism, no table, no ids.
-// Validity and the first error's path must agree.
+// The paths of all violations must agree, in order.
 //
 // shape selects the spec: bits 0–2 the number of declared elements (2–9),
 // bit 3 prefixed names, bit 4 models that mention undeclared names, bit 5
 // Mixed content, bits 6–8 the number of mutations, bit 9 CHARE models in
-// place of random 1-OREs.
+// place of random 1-OREs, bit 10 small {m,n} counters on chain factors.
+//
+// With counters the XSD keeps them as minOccurs/maxOccurs, so its models
+// run on the counter engine, while the DTD and the reference take the
+// canonical unrolling (ast.Unroll): one document is judged on the table
+// tier, on the counter engine and by the reference. A spec whose counted
+// model is nondeterministic is skipped (TestCounterSpecsChecked bounds how
+// many are).
 func FuzzValidateDoc(f *testing.F) {
 	for _, c := range []struct {
 		seed  int64
@@ -40,45 +49,84 @@ func FuzzValidateDoc(f *testing.F) {
 	}{
 		{1, 0}, {2, 3}, {3, 7 | 1<<9}, {4, 5 | 1<<5}, {5, 6 | 3<<6},
 		{6, 4 | 1<<4 | 2<<6}, {7, 7 | 1<<3}, {8, 2 | 1<<3 | 1<<5 | 1<<6},
+		{9, 5 | 1<<9 | 1<<10}, {10, 7 | 2<<6 | 1<<9 | 1<<10}, {11, 6 | 1<<10},
+		{12, 4 | 3<<6 | 1<<9 | 1<<10}, {13, 3 | 1<<3 | 1<<6 | 1<<10},
 	} {
 		f.Add(c.seed, c.shape)
 	}
 	cache := dregex.NewCache(256)
 	f.Fuzz(func(t *testing.T, seed int64, shape uint16) {
-		r := rand.New(rand.NewSource(seed))
-		sp := newSpec(r, shape)
-		doc := sp.document(r, int(shape>>6&7))
-		d, err := dtd.ParseWithCache(sp.dtd(), cache)
-		if err != nil {
-			t.Fatalf("spec DTD does not parse: %v\n%s", err, sp.dtd())
+		if ok, _ := checkSpec(t, cache, seed, shape); !ok {
+			t.Skip("a counted model is nondeterministic")
 		}
-		errs, err := d.ValidateBytes(doc)
-		agree(t, "dtd", sp.dtd(), doc, errs, err, sp.judge(doc, true))
-		if !sp.xsdOK() {
-			return
-		}
-		s, err := xsd.ParseWithCache([]byte(sp.xsd()), cache)
-		if err != nil {
-			t.Fatalf("spec XSD does not parse: %v\n%s", err, sp.xsd())
-		}
-		errs, err = s.ValidateBytes(doc)
-		agree(t, "xsd", sp.xsd(), doc, errs, err, sp.judge(doc, false))
 	})
 }
 
-// agree fails unless the validator's result matches the reference's first
-// error path ("" for a valid document).
-func agree(t *testing.T, lang, schema string, doc []byte, errs []dtd.ValidationError, err error, want string) {
+// checkSpec draws the spec and document of (seed, shape) and checks the
+// validators against the reference. It reports false, checking nothing,
+// for a spec with a nondeterministic counted model, and returns the XSD
+// it checked (nil when the spec has none).
+func checkSpec(t *testing.T, cache *dregex.Cache, seed int64, shape uint16) (bool, *xsd.Schema) {
+	r := rand.New(rand.NewSource(seed))
+	sp := newSpec(r, shape)
+	if sp.nondet {
+		return false, nil
+	}
+	doc := sp.document(r, int(shape>>6&7))
+	d, err := dtd.ParseWithCache(sp.dtd(), cache)
+	if err != nil {
+		t.Fatalf("spec DTD does not parse: %v\n%s", err, sp.dtd())
+	}
+	errs, err := d.ValidateBytes(doc)
+	agree(t, "dtd", sp.dtd(), doc, errs, err, sp.judge(doc, true))
+	if !sp.xsdOK() {
+		return true, nil
+	}
+	s, err := xsd.ParseWithCache([]byte(sp.xsd()), cache)
+	if err != nil {
+		t.Fatalf("spec XSD does not parse: %v\n%s", err, sp.xsd())
+	}
+	errs, err = s.ValidateBytes(doc)
+	agree(t, "xsd", sp.xsd(), doc, errs, err, sp.judge(doc, false))
+	return true, s
+}
+
+// TestCounterSpecsChecked runs the oracle over 400 counter specs: most
+// must be checked, not skipped as nondeterministic, and most of those
+// must put an XSD model on the counter engine.
+func TestCounterSpecsChecked(t *testing.T) {
+	cache := dregex.NewCache(256)
+	const n = 400
+	checked, counted := 0, 0
+	for seed := int64(1); seed <= n; seed++ {
+		shape := uint16(seed%8) | uint16(seed/8%4)<<6 | uint16(seed%2)<<9 | 1<<10
+		ok, s := checkSpec(t, cache, seed, shape)
+		if !ok {
+			continue
+		}
+		checked++
+		if s != nil && slices.ContainsFunc(s.AllTypes, func(ty *xsd.Type) bool { return ty.Numeric }) {
+			counted++
+		}
+	}
+	if checked <= n/2 || counted <= checked/2 {
+		t.Fatalf("of %d counter specs %d were checked, %d of them on the counter engine", n, checked, counted)
+	}
+}
+
+// agree fails unless the validator's violations are at the reference's
+// error paths, in order (none for a valid document).
+func agree(t *testing.T, lang, schema string, doc []byte, errs []dtd.ValidationError, err error, want []string) {
 	t.Helper()
 	if err != nil {
 		t.Fatalf("%s: document-level error %v\nschema:\n%s\ndoc: %s", lang, err, schema, doc)
 	}
-	got := ""
-	if len(errs) > 0 {
-		got = errs[0].Path
+	var got []string
+	for _, e := range errs {
+		got = append(got, e.Path)
 	}
-	if (len(errs) == 0) != (want == "") || got != want {
-		t.Fatalf("%s: validator first error %q (%v), reference %q\nschema:\n%s\ndoc: %s",
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: validator errors at %q (%v), reference %q\nschema:\n%s\ndoc: %s",
 			lang, got, errs, want, schema, doc)
 	}
 }
@@ -95,7 +143,10 @@ type elemSpec struct {
 	name  string
 	kind  int
 	model *ast.Node // kChildren, over spec.alpha
-	mixed []string  // kMixed
+	// plain is model with its {m,n} counters unrolled (model itself when
+	// it has none): the DTD's model and the reference's.
+	plain *ast.Node
+	mixed []string // kMixed
 	// The reference automaton and the follow index words are drawn from.
 	auto *glushkov.Automaton
 	fol  *follow.Index
@@ -109,10 +160,14 @@ type spec struct {
 	// undeclared ones when the shape asks for them.
 	pool     []string
 	prefixed bool
+	// counters is shape bit 10; nondet reports a counted model that §3.3
+	// finds nondeterministic.
+	counters, nondet bool
 }
 
 func newSpec(r *rand.Rand, shape uint16) *spec {
 	sp := &spec{alpha: ast.NewAlphabet(), byName: map[string]*elemSpec{}}
+	sp.counters = shape&(1<<10) != 0
 	n := 2 + int(shape&7)
 	sp.prefixed = shape&(1<<3) != 0
 	name := func(base string) string {
@@ -138,7 +193,19 @@ func newSpec(r *rand.Rand, shape uint16) *spec {
 		case k < 5:
 			e.kind = kChildren
 			e.model = sp.model(r, shape&(1<<9) != 0)
-			tr, err := parsetree.Build(ast.Normalize(ast.DesugarPlus(ast.Normalize(e.model))), sp.alpha)
+			e.plain = e.model
+			if sp.counters {
+				e.model = counted(r, e.model)
+				c, err := numeric.Compile(e.model, sp.alpha)
+				if err != nil {
+					panic(err)
+				}
+				sp.nondet = sp.nondet || !c.IsDeterministic()
+				if e.plain, err = ast.Unroll(e.model, 1<<12); err != nil {
+					panic(err)
+				}
+			}
+			tr, err := parsetree.Build(ast.Normalize(ast.DesugarPlus(ast.Normalize(e.plain))), sp.alpha)
 			if err != nil {
 				panic(err)
 			}
@@ -192,13 +259,40 @@ func (sp *spec) model(r *rand.Rand, chare bool) *ast.Node {
 	return remap(e)
 }
 
+// counted gives the chain factors of e without a postfix operator small
+// {m,n} bounds, two in five of them, as XSD minOccurs/maxOccurs would.
+func counted(r *rand.Rand, e *ast.Node) *ast.Node {
+	var parts []*ast.Node
+	var flatten func(n *ast.Node)
+	flatten = func(n *ast.Node) {
+		if n.Kind == ast.KCat {
+			flatten(n.L)
+			flatten(n.R)
+			return
+		}
+		parts = append(parts, n)
+	}
+	flatten(e)
+	for i, f := range parts {
+		switch f.Kind {
+		case ast.KOpt, ast.KStar, ast.KIter:
+			continue
+		}
+		if r.Intn(5) < 2 {
+			lo := r.Intn(3)
+			parts[i] = ast.Iter(f, lo, lo+2+r.Intn(5))
+		}
+	}
+	return ast.CatAll(parts...)
+}
+
 func (sp *spec) dtd() string {
 	var b strings.Builder
 	for _, e := range sp.elems {
 		fmt.Fprintf(&b, "<!ELEMENT %s ", e.name)
 		switch e.kind {
 		case kChildren:
-			fmt.Fprintf(&b, "(%s)", ast.StringDTD(e.model, sp.alpha))
+			fmt.Fprintf(&b, "(%s)", ast.StringDTD(e.plain, sp.alpha))
 		case kMixed:
 			b.WriteString("(#PCDATA")
 			for _, m := range e.mixed {
@@ -278,8 +372,12 @@ func (sp *spec) particle(b *strings.Builder, n *ast.Node) {
 		group("sequence", ` minOccurs="0"`, n.L)
 	case ast.KStar:
 		group("sequence", ` minOccurs="0" maxOccurs="unbounded"`, n.L)
-	case ast.KIter: // e{1,∞}, the only iteration the generators emit
-		group("sequence", ` maxOccurs="unbounded"`, n.L)
+	case ast.KIter:
+		max := "unbounded"
+		if n.Max != ast.Unbounded {
+			max = strconv.Itoa(n.Max)
+		}
+		group("sequence", fmt.Sprintf(` minOccurs="%d" maxOccurs="%s"`, n.Min, max), n.L)
 	}
 }
 
@@ -311,7 +409,11 @@ func (sp *spec) document(r *rand.Rand, mutations int) []byte {
 		var kids []string
 		switch e.kind {
 		case kChildren:
-			w, ok := words.RandomWord(r, e.fol, 4, 0.3)
+			maxLen, stop := 4, 0.3
+			if sp.counters {
+				maxLen, stop = 16, 0.1 // long enough to reach the bounds
+			}
+			w, ok := words.RandomWord(r, e.fol, maxLen, stop)
 			if ok {
 				for _, s := range w {
 					kids = append(kids, sp.alpha.Name(s))
@@ -343,7 +445,11 @@ func (sp *spec) document(r *rand.Rand, mutations int) []byte {
 	for i := 0; i < mutations; i++ {
 		nd := all[r.Intn(len(all))]
 		k := len(nd.items)
-		switch r.Intn(5) {
+		kinds := 5
+		if sp.counters {
+			kinds = 7
+		}
+		switch r.Intn(kinds) {
 		case 0: // insert a child
 			c := &node{name: names[r.Intn(len(names))]}
 			all = append(all, c)
@@ -362,6 +468,15 @@ func (sp *spec) document(r *rand.Rand, mutations int) []byte {
 			nd.name = names[r.Intn(len(names))]
 		case 4: // stray text
 			nd.items = slices.Insert(nd.items, r.Intn(k+1), item{text: "stray"})
+		case 5, 6: // repeat a child: a run at a counter's Max goes past it
+			if k > 0 {
+				i := r.Intn(k)
+				if el := nd.items[i].el; el != nil {
+					c := &node{name: el.name}
+					all = append(all, c)
+					nd.items = slices.Insert(nd.items, i+1, item{el: c})
+				}
+			}
 		}
 	}
 	var b bytes.Buffer
@@ -397,25 +512,28 @@ type refFrame struct {
 	failed bool
 }
 
-// judge validates doc against the spec the slow way and returns the path
-// of the first violation ("" when valid). flat selects the DTD's rules
-// (one namespace, names as written); otherwise XSD's (scoped declarations,
-// local names: a child resolves only through its parent's model, and the
-// children of xs:anyType go unchecked).
-func (sp *spec) judge(doc []byte, flat bool) string {
+// judge validates doc against the spec the slow way and returns the paths
+// of its violations in document order (none when valid). flat selects the
+// DTD's rules (one namespace, names as written); otherwise XSD's (scoped
+// declarations, local names: a child resolves only through its parent's
+// model, and the children of xs:anyType go unchecked). Like the
+// validators, it stops checking an element's content at its first
+// violation and goes on with the rest of the document.
+func (sp *spec) judge(doc []byte, flat bool) []string {
 	dec := xml.NewDecoder(bytes.NewReader(doc))
 	var stack []*refFrame
-	path := func() string {
+	var errs []string
+	report := func() {
 		var b strings.Builder
 		for _, f := range stack {
 			b.WriteString("/" + f.name)
 		}
-		return b.String()
+		errs = append(errs, b.String())
 	}
 	for {
 		tok, err := dec.RawToken()
 		if err == io.EOF {
-			return ""
+			return errs
 		}
 		if err != nil {
 			panic(fmt.Sprintf("generated document is malformed: %v\n%s", err, doc))
@@ -430,12 +548,14 @@ func (sp *spec) judge(doc []byte, flat bool) string {
 			if len(stack) == 0 {
 				if e = sp.byName[name]; e == nil {
 					stack = append(stack, &refFrame{name: name})
-					return path()
+					report()
+					continue
 				}
 			} else {
 				p := stack[len(stack)-1]
 				if p.e != nil && !p.failed && !sp.admits(p, name) {
-					return path()
+					report()
+					p.failed = true
 				}
 				switch {
 				case flat:
@@ -445,7 +565,8 @@ func (sp *spec) judge(doc []byte, flat bool) string {
 				}
 				if e == nil && flat {
 					stack = append(stack, &refFrame{name: name})
-					return path()
+					report()
+					continue
 				}
 			}
 			f := &refFrame{name: name, e: e}
@@ -456,7 +577,7 @@ func (sp *spec) judge(doc []byte, flat bool) string {
 		case xml.EndElement:
 			f := stack[len(stack)-1]
 			if f.e != nil && !f.failed && f.e.kind == kChildren && !accepts(f) {
-				return path()
+				report()
 			}
 			stack = stack[:len(stack)-1]
 		case xml.CharData:
@@ -466,7 +587,8 @@ func (sp *spec) judge(doc []byte, flat bool) string {
 			f := stack[len(stack)-1]
 			if f.e != nil && !f.failed && (f.e.kind == kChildren || f.e.kind == kEmpty) &&
 				strings.Trim(string(tok), " \t\r\n") != "" {
-				return path()
+				report()
+				f.failed = true
 			}
 		}
 	}

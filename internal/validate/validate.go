@@ -35,6 +35,7 @@ package validate
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -238,9 +239,7 @@ func (c *Content) alphabet() *ast.Alphabet {
 			return s.Alphabet()
 		}
 	case c.Counter != nil:
-		var s numeric.Stream
-		c.Counter.InitStream(&s)
-		return s.Alphabet()
+		return c.Counter.Alphabet()
 	}
 	return nil
 }
@@ -297,6 +296,16 @@ type pendingRef struct {
 
 // span is a [lo,hi) byte range of DocState.refArena.
 type span struct{ lo, hi int }
+
+// MaxDepth bounds the elements a document may have open at once, as
+// ast.MaxNesting bounds a content model's groups: a frame costs a few
+// hundred bytes, so an unbounded stack would let a 4 MiB body of <a> tags
+// allocate hundreds of MiB before the pass fails at its end.
+const MaxDepth = 1000
+
+// ErrDepth is wrapped by the document-level error of a pass that meets a
+// start tag inside MaxDepth open elements.
+var ErrDepth = errors.New("validate: elements nest more than 1000 deep")
 
 // maxKeepBuf caps the document buffer a reused DocState retains between
 // documents, so one huge outlier does not pin its memory forever.
@@ -518,6 +527,10 @@ func (s *Schema) pass(data []byte, st *DocState) error {
 				}
 			}
 		case xmltok.StartElement:
+			if len(st.stack) == MaxDepth {
+				line, col := tok.Position(tok.Offset())
+				return fmt.Errorf("%s: %w (at %d:%d)", s.Lang, ErrDepth, line, col)
+			}
 			var name []byte
 			if s.global != nil {
 				name = tok.Name()

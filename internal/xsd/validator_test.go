@@ -210,6 +210,49 @@ func TestValidatePrematureEndExpected(t *testing.T) {
 	}
 }
 
+// TestValidatePastMaxExpected: a child past its maxOccurs violates the
+// counter model and reports the names that could have come instead — a
+// 13th point in a point{2,12} series expects what may follow the points.
+func TestValidatePastMaxExpected(t *testing.T) {
+	s, err := Parse([]byte(`<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="series"><xs:complexType><xs:sequence>
+    <xs:element name="label" type="xs:string"/>
+    <xs:element name="point" type="xs:string" minOccurs="2" maxOccurs="12"/>
+    <xs:choice minOccurs="0" maxOccurs="3">
+      <xs:element name="flag" type="xs:string"/>
+      <xs:element name="comment" type="xs:string"/>
+    </xs:choice>
+    <xs:element name="unit" type="xs:string" minOccurs="0"/>
+  </xs:sequence></xs:complexType></xs:element>
+</xs:schema>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		points int
+		want   string
+	}{
+		{12, ""},
+		{13, "flag,comment,unit"},
+	} {
+		doc := "<series><label/>" + strings.Repeat("<point/>", c.points) + "</series>"
+		errs, err := s.ValidateBytes([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.want == "" {
+			if len(errs) != 0 {
+				t.Errorf("%d points: %v, want valid", c.points, errs)
+			}
+			continue
+		}
+		if len(errs) != 1 || !strings.Contains(errs[0].Msg, "child <point> violates content model") ||
+			strings.Join(errs[0].Expected, ",") != c.want {
+			t.Errorf("%d points: errs=%v, want a violation expecting %s", c.points, errs, c.want)
+		}
+	}
+}
+
 // TestValidatorConcurrent runs the worker pool over a mixed corpus (run
 // with -race in CI: engines and compiled models are shared across
 // workers).

@@ -124,20 +124,22 @@ func (e *NumericExpr) IterationStats() numeric.Stats { return e.c.Stats() }
 // zero-allocation steady-state path.
 type NumericStream = numeric.Stream
 
-// NumericMatcher matches words against one compiled counted expression by
-// streaming counter simulation. It is the NumericExpr counterpart of
-// Matcher: safe for concurrent use (per-word state lives in NumericStream
-// values), obtained from NumericExpr.Matcher, and shared by all callers of
-// the same NumericExpr. Unlike the deterministic plain engines it accepts
-// nondeterministic expressions too — the simulation then tracks every live
-// run, like the NFA engine.
+// NumericMatcher matches words against one compiled counted expression.
+// A deterministic expression steps its configuration DFA (a position plus
+// counter values per state, one table load per symbol), built on the first
+// stream Init while its states fit the dense-table budget; otherwise the
+// streams simulate the configuration set. It is the NumericExpr
+// counterpart of Matcher: safe for concurrent use (per-word state lives in
+// NumericStream values), obtained from NumericExpr.Matcher, and shared by
+// all callers of the same NumericExpr. Unlike the deterministic plain
+// engines it accepts nondeterministic expressions too — the simulation
+// then tracks every live run, like the NFA engine.
 type NumericMatcher struct {
 	c *numeric.Counted
 }
 
-// Matcher returns the counter-simulation engine. The same engine value
-// backs every call (parity with Expr.Matcher's per-algorithm cache; the
-// counter engine needs no construction beyond compilation itself).
+// Matcher returns the counter engine. The same engine value backs every
+// call (parity with Expr.Matcher's per-algorithm cache).
 func (e *NumericExpr) Matcher() *NumericMatcher { return &e.m }
 
 // MatchSymbols matches a word given as symbol names.
@@ -161,6 +163,10 @@ func (m *NumericMatcher) MatchText(w string) bool {
 	}
 	return s.Accepts()
 }
+
+// Alphabet returns the expression's symbol alphabet. Unlike a stream's
+// Alphabet, reading it builds nothing.
+func (m *NumericMatcher) Alphabet() *ast.Alphabet { return m.c.Alpha }
 
 // Stream starts an incremental match at the empty prefix.
 func (m *NumericMatcher) Stream() *NumericStream { return numeric.NewStream(m.c) }

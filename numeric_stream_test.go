@@ -1,7 +1,11 @@
 package dregex
 
 import (
+	"fmt"
+	"sync"
 	"testing"
+
+	"dregex/internal/ast"
 )
 
 // TestNumericMatcherStream exercises the NumericExpr Matcher/InitStream
@@ -132,6 +136,76 @@ func TestNumericStreamZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(500, func() { frun() }); n != 0 {
 		t.Errorf("nondeterministic stream path allocates %.2f/word, want 0", n)
+	}
+
+	// A deterministic expression whose configurations are past the DFA
+	// budget simulates; its singleton set settles to zero allocations too.
+	big, err := CompileNumeric("(a, b{1,50}, c?){1,50}, d", DTD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !big.IsDeterministic() {
+		t.Fatalf("past-budget model must be deterministic, rule=%s", big.Rule())
+	}
+	bm := big.Matcher()
+	bword := big.Intern([]string{"a", "b", "b", "c", "a", "b", "d"})
+	brun := func() bool {
+		bm.InitStream(&s)
+		for _, a := range bword {
+			if !s.Feed(a) {
+				return false
+			}
+		}
+		return s.Accepts()
+	}
+	if !brun() {
+		t.Fatal("a b b c a b d must match (a,b{1,50},c?){1,50},d")
+	}
+	if n := testing.AllocsPerRun(500, func() { brun() }); n != 0 {
+		t.Errorf("past-budget stream path allocates %.2f/word, want 0", n)
+	}
+}
+
+// TestNumericStreamConcurrentInit races the lazy DFA build: goroutines
+// Init and Feed streams on one fresh NumericExpr at once (run under
+// -race), and every one must reach the same verdicts.
+func TestNumericStreamConcurrentInit(t *testing.T) {
+	e, err := CompileNumeric("(label, point{2,12}, (flag | comment){0,3}, unit?)", DTD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := e.Matcher()
+	good := e.Intern([]string{"label", "point", "point", "flag", "unit"})
+	bad := e.Intern([]string{"label", "point", "unit"})
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var s NumericStream
+			for i := 0; i < 50; i++ {
+				for _, c := range []struct {
+					word []ast.Symbol
+					want bool
+				}{{good, true}, {bad, false}} {
+					m.InitStream(&s)
+					ok := true
+					for _, a := range c.word {
+						ok = ok && s.Feed(a)
+					}
+					if got := ok && s.Accepts(); got != c.want {
+						errs <- fmt.Sprintf("verdict %v, want %v", got, c.want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
 	}
 }
 
