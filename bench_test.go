@@ -369,20 +369,25 @@ func BenchmarkE9DTDCorpus(b *testing.B) {
 }
 
 // --- Compile from source: the write path -----------------------------------
-// dregex.Compile on DTD source text — grammar, normal form, parse tree,
-// follow index, skeleta, determinism test and Stats — for seeded random
-// 1-OREs of about 64, 1k and 10k nodes, plus one counted model through
-// CompileNumeric. ns/node divides by the parse-tree size, (R1) wrapper
-// included. Every scratch buffer of the pipeline is pooled, so allocs/op
-// grows only with the alphabet's name map, not per node.
+// dregex.Compile on DTD source text. Seeded random 1-OREs of about 64, 1k
+// and 10k nodes take the grammar, normal form, parse tree and Stats, which
+// decide them (k = 1); their follow index waits for the first engine. One
+// deterministic 2-occurrence model of about 1k nodes (wordgen.KOccurrence)
+// also takes the follow index, the skeleta and the determinism test of
+// Theorem 3.5. One counted model goes through CompileNumeric. ns/node
+// divides by the parse-tree size, (R1) wrapper included. Every scratch
+// buffer of the pipeline is pooled, so allocs/op grows only with the
+// alphabet's name map, not per node.
 
 func BenchmarkCompileSource(b *testing.B) {
 	r := rand.New(rand.NewSource(16))
-	for _, nodes := range []int{64, 1024, 10240} {
-		alpha := ast.NewAlphabet()
-		src := ast.StringDTD(wordgen.RandomDeterministicExpr(r, alpha, nodes, nodes, false), alpha)
-		size := dregex.MustCompile(src, dregex.DTD).Stats().Size
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+	compile := func(name, src string) {
+		e := dregex.MustCompile(src, dregex.DTD)
+		if !e.IsDeterministic() {
+			b.Fatalf("%s: nondeterministic (%s)", name, e.Rule())
+		}
+		size := e.Stats().Size
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := dregex.Compile(src, dregex.DTD); err != nil {
@@ -392,6 +397,12 @@ func BenchmarkCompileSource(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size), "ns/node")
 		})
 	}
+	for _, nodes := range []int{64, 1024, 10240} {
+		alpha := ast.NewAlphabet()
+		compile(fmt.Sprintf("nodes=%d", nodes), ast.StringDTD(wordgen.RandomDeterministicExpr(r, alpha, nodes, nodes, false), alpha))
+	}
+	alpha := ast.NewAlphabet()
+	compile("k=2/nodes=1024", ast.StringDTD(wordgen.KOccurrence(alpha, 170, 2), alpha))
 	b.Run("numeric", func(b *testing.B) {
 		alpha := ast.NewAlphabet()
 		src := ast.StringDTD(countedMixed(alpha, 200, 1024), alpha)

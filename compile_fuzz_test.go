@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"dregex/internal/ast"
+	"dregex/internal/determinism"
+	"dregex/internal/follow"
 	"dregex/internal/glushkov"
 	"dregex/internal/parsetree"
 )
@@ -20,7 +22,9 @@ import (
 // Compile and CompileNumeric must agree with it on success or failure, on
 // every Tree array and on Stats (from ast.MaxOccurrence, AlternationDepth
 // and HasStar). Up to 40 positions, the linear verdict must match the
-// Brüggemann-Klein baseline, which does not use the skeleta. Every
+// Brüggemann-Klein baseline, which does not use the skeleta. Compile
+// decides an expression with k ≤ 1 by its occurrence count alone; at any
+// size, the linear test it skips must give the same verdict. Every
 // deterministic expression must build its Matcher(Auto) engine: the
 // schema front ends rely on it. Sources run up to 2 KiB, long enough to
 // nest groups past ast.MaxNesting, which both sides reject with
@@ -43,6 +47,12 @@ func FuzzCompile(f *testing.F) {
 func checkCompile(t *testing.T, src string, syntax Syntax) {
 	e, err := Compile(src, syntax)
 	ne, nerr := CompileNumeric(src, syntax)
+	if err == nil && e.Stats().K <= 1 {
+		r := determinism.Check(e.tree, follow.New(e.tree))
+		if r.Deterministic != e.IsDeterministic() || r.Rule != e.Rule() {
+			t.Fatalf("%q: k=%d decided deterministic=%v, linear test says %s", src, e.Stats().K, e.IsDeterministic(), r)
+		}
+	}
 
 	alpha := ast.NewAlphabet()
 	var root *ast.Node

@@ -23,9 +23,10 @@
 // The library is shaped for amortized use, the workload of real schema
 // validators (a small set of content models matched at enormous rates):
 //
-//   - Compile runs every O(|e|) preprocessing step once, including Stats;
-//   - Expr lazily builds and permanently caches one engine per Algorithm,
-//     so repeated Matcher and MatchAll calls never rebuild a simulator;
+//   - Compile decides determinism and computes Stats once, in O(|e|);
+//   - Expr lazily builds and permanently caches its follow index and one
+//     engine per Algorithm, so repeated Matcher and MatchAll calls never
+//     rebuild a simulator;
 //   - Cache is a concurrency-safe LRU over compiled expressions keyed by
 //     (syntax, source), deduplicating concurrent compiles;
 //   - Expr.Intern plus Matcher.MatchWord (or a value match.Stream reused
@@ -68,23 +69,29 @@ const (
 )
 
 // Expr is a compiled expression. It is immutable and safe for concurrent
-// use once compiled; the per-algorithm engine cache is filled lazily under
-// sync.Once, so sharing one Expr across goroutines shares its engines.
+// use once compiled; the follow index and the per-algorithm engine cache
+// are filled lazily under sync.Once, so sharing one Expr across goroutines
+// shares them.
 //
-// It keeps only what matching, Stats and Explain read: the parse tree, its
-// follow index (the tree plus an LCA index), the alphabet and the verdict.
-// The §3.1 skeleta serve the determinism test and are dropped when
-// Compile returns; the colored engines, the only ones that read them,
-// build their own.
+// It keeps only what matching, Stats and Explain read: the parse tree, the
+// alphabet, the verdict and, once something has read it, the follow index
+// (the tree plus an LCA index). The determinism test builds the index when
+// it runs; an expression decided by its occurrence count (k ≤ 1) gets one
+// from its first engine build. The §3.1 skeleta serve the determinism test
+// and are dropped when Compile returns; the colored engines, the only ones
+// that read them, build their own.
 type Expr struct {
 	source string
 	syntax Syntax
 	alpha  *ast.Alphabet
 	tree   *parsetree.Tree
-	fol    *follow.Index
 	det    *determinism.Result
 	stats  Stats     // memoized at compile time
 	auto   Algorithm // Auto resolved against stats, once, at compile time
+
+	// fol is the follow index (LCA plus the Lemma 2.3 pointers); read it
+	// through followIndex.
+	fol followSlot
 
 	// engines[a] caches the Algorithm(a) simulator; batch caches the
 	// Theorem 4.12 star-free multi-word engine. Both build on first use
@@ -95,6 +102,11 @@ type Expr struct {
 	// explain memoizes the (possibly quadratic) Explain diagnosis, so a
 	// hot nondeterministic expression served from a cache diagnoses once.
 	explain ambSlot
+}
+
+type followSlot struct {
+	once sync.Once
+	ix   *follow.Index
 }
 
 type ambSlot struct {
@@ -142,13 +154,23 @@ const MaxNesting = ast.MaxNesting
 var ErrNesting = ast.ErrNesting
 
 // Compile parses, normalizes (rules R1–R3 of the paper) and preprocesses an
-// expression: LCA structures, the Lemma 2.3 pointers, the §3.1 skeleta and
-// the linear determinism test all run here, in O(|e|) total. The e+
-// postfix of DTD syntax is desugared to e·e* (determinism-preserving);
-// other numeric bounds are rejected — see CompileNumeric.
+// expression in O(|e|) total. The e+ postfix of DTD syntax is desugared to
+// e·e*, and the verdict is the desugared expression's; under an enclosing
+// loop that can differ from the e+ form's ((a+)* is reported
+// nondeterministic). Other numeric bounds are rejected — see
+// CompileNumeric.
 //
 // The source is parsed straight into the parse tree's arrays
-// (parsetree.Parse); no pointer AST is built.
+// (parsetree.Parse); no pointer AST is built. Stats is read off the tree
+// first, and the verdict follows from it:
+//
+//   - k ≤ 1 (a 1-ORE: no symbol labels two positions) is deterministic,
+//     since no First or Follow set can hold two positions of one symbol.
+//     Nothing more runs; the follow index is built by the first engine
+//     that reads it.
+//   - k ≥ 2 runs the linear test of Theorem 3.5: the follow index (LCA
+//     and the Lemma 2.3 pointers), the §3.1 skeleta, then Algorithm 2 at
+//     every colored node.
 func Compile(source string, syntax Syntax) (*Expr, error) {
 	tree, err := parseTree(source, syntax, false)
 	if err != nil {
@@ -157,20 +179,31 @@ func Compile(source string, syntax Syntax) (*Expr, error) {
 		}
 		return nil, err
 	}
-	fol := follow.New(tree)
-	det := determinism.CheckSkeletons(tree, skeleton.Build(tree, fol, skeleton.Options{}), false)
 	e := &Expr{
 		source: source,
 		syntax: syntax,
 		alpha:  tree.Alpha,
 		tree:   tree,
-		fol:    fol,
-		det:    det,
+		stats:  computeStats(tree),
+		det:    oneOccurrence,
 	}
-	e.stats = computeStats(e)
+	if e.stats.K > 1 {
+		e.det = determinism.CheckSkeletons(tree, skeleton.Build(tree, e.followIndex(), skeleton.Options{}), false)
+	}
+	e.stats.Deterministic = e.det.Deterministic
 	e.auto = autoSelect(e.stats)
 	recordAutoSelection(e.auto, e.stats)
 	return e, nil
+}
+
+// oneOccurrence is the verdict of every expression in which no symbol
+// labels two positions. It is shared and never written.
+var oneOccurrence = &determinism.Result{Deterministic: true}
+
+// followIndex returns the follow index, building it on first use.
+func (e *Expr) followIndex() *follow.Index {
+	e.fol.once.Do(func() { e.fol.ix = follow.New(e.tree) })
+	return e.fol.ix
 }
 
 // notation maps a Syntax to the grammar's notation.
@@ -269,7 +302,8 @@ func (e *Expr) Explain() *Ambiguity {
 		return nil
 	}
 	e.explain.once.Do(func() {
-		w := determinism.Diagnose(e.tree, e.fol, e.det)
+		fol := e.followIndex()
+		w := determinism.Diagnose(e.tree, fol, e.det)
 		if w == nil {
 			e.explain.amb = &Ambiguity{Rule: e.det.Rule}
 			return
@@ -278,7 +312,7 @@ func (e *Expr) Explain() *Ambiguity {
 			Rule:   e.det.Rule,
 			Symbol: e.tree.Label(w.Q1),
 		}
-		for _, s := range determinism.ShortestWitnessWord(e.tree, e.fol, w) {
+		for _, s := range determinism.ShortestWitnessWord(e.tree, fol, w) {
 			amb.Word = append(amb.Word, e.alpha.Name(s))
 		}
 		e.explain.amb = amb
@@ -310,28 +344,26 @@ type Stats struct {
 // Stats returns the structural summary, computed once at compile time.
 func (e *Expr) Stats() Stats { return e.stats }
 
-// computeStats summarizes e, reading the parse tree's arrays in one
-// bottom-up pass. K counts the user positions per symbol. The alternation
-// depth c_e is taken over e′ (ids 3…n−2, the user subtree): for each node,
-// cat[n] and union[n] hold the depth of its subtree when the nearest ⊙/+
-// above it is a ⊙ (resp. a +), since a ⊙ directly below a ⊙ (or a + below
-// a +) does not deepen it.
-func computeStats(e *Expr) Stats {
-	t := e.tree
+// computeStats summarizes t, reading its arrays in one bottom-up pass;
+// Deterministic is left for the caller to fill. K counts the user
+// positions per symbol. The alternation depth c_e is taken over e′ (ids
+// 3…n−2, the user subtree): for each node, cat[n] and union[n] hold the
+// depth of its subtree when the nearest ⊙/+ above it is a ⊙ (resp. a +),
+// since a ⊙ directly below a ⊙ (or a + below a +) does not deepen it.
+func computeStats(t *parsetree.Tree) Stats {
 	n := t.N()
 	s := Stats{
-		Size:          n,
-		Positions:     t.NumPositions() - 2,
-		Sigma:         e.alpha.UserSize(),
-		StarFree:      true,
-		Deterministic: e.det.Deterministic,
+		Size:      n,
+		Positions: t.NumPositions() - 2,
+		Sigma:     t.Alpha.UserSize(),
+		StarFree:  true,
 	}
 	buf := statsPool.Get().(*[]int32)
 	defer statsPool.Put(buf)
-	if cap(*buf) < 2*n+e.alpha.Size() {
-		*buf = make([]int32, 2*n+e.alpha.Size())
+	if cap(*buf) < 2*n+t.Alpha.Size() {
+		*buf = make([]int32, 2*n+t.Alpha.Size())
 	}
-	scratch := (*buf)[:2*n+e.alpha.Size()]
+	scratch := (*buf)[:2*n+t.Alpha.Size()]
 	clear(scratch)
 	cat, union, counts := scratch[:n], scratch[n:2*n], scratch[2*n:]
 	for _, p := range t.PosNode[1 : len(t.PosNode)-1] {

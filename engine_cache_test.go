@@ -297,3 +297,63 @@ func TestMatchAllCachedAllocs(t *testing.T) {
 		t.Errorf("cached MatchAllWords allocates %v/op, want <= 1 (the verdict slice)", n)
 	}
 }
+
+// TestFollowIndexFirstUseConcurrent: Compile decides a 1-ORE without
+// building its follow index, so the first engine build (or batch engine)
+// builds it. 16 goroutines race Matcher(Auto), MatchWord and MatchAll on
+// one fresh Expr; under -race they must share one engine and all see the
+// right verdicts. A model with a repeated symbol gets its index from the
+// determinism test at Compile.
+func TestFollowIndexFirstUseConcurrent(t *testing.T) {
+	if MustCompile("(a | b)*, a", DTD).fol.ix == nil {
+		t.Error("the determinism test ran without keeping its follow index")
+	}
+	for _, c := range []struct {
+		src    string
+		accept []string
+		reject []string
+	}{
+		{"(title, (author | editor)*, (section | appendix)?)", []string{"title", "editor", "author", "section"}, []string{"title", "section", "author"}},
+		// Star-free past the table budget: Auto MatchAll takes the batch
+		// engine, Matcher(Auto) KORE.
+		{wordgen.OptChainDTD(1024), []string{"a0", "a7", "a1023"}, []string{"a7", "a0"}},
+	} {
+		e := MustCompile(c.src, DTD)
+		if e.Stats().K != 1 || e.fol.ix != nil {
+			t.Fatalf("%.40q: k=%d, follow index built at Compile: %v", c.src, e.Stats().K, e.fol.ix != nil)
+		}
+		accept, reject := e.Intern(c.accept), e.Intern(c.reject)
+		words := [][]string{c.accept, c.reject}
+		const workers = 16
+		var wg sync.WaitGroup
+		got := make([]*Matcher, workers)
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				m, err := e.Matcher(Auto)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = m
+				if !m.MatchWord(accept) || m.MatchWord(reject) {
+					t.Errorf("%.40q: MatchWord verdicts %v, %v", c.src, m.MatchWord(accept), m.MatchWord(reject))
+				}
+				res, err := e.MatchAll(words, Auto)
+				if err != nil || !res[0] || res[1] {
+					t.Errorf("%.40q: MatchAll = %v, %v", c.src, res, err)
+				}
+			}(i)
+		}
+		wg.Wait()
+		for i := 1; i < workers; i++ {
+			if got[i] != got[0] {
+				t.Fatalf("%.40q: concurrent first use built more than one engine", c.src)
+			}
+		}
+		if e.fol.ix == nil {
+			t.Errorf("%.40q: no follow index after the engines were built", c.src)
+		}
+	}
+}

@@ -200,10 +200,13 @@ func AppendNodes(dst []Rec, e *Node) ([]Rec, error) {
 
 // DesugarPlus rewrites every remaining one-or-more iteration e{1,∞} into the
 // plain-operator form e·(e)* (or e* when the body is nullable). This doubles
-// the positions of the body, which is exactly the classical desugaring; the
-// Glushkov follow relation — and hence determinism — of the two forms
-// coincide. Other numeric iterations are left untouched (package numeric
-// handles them natively). The input is not mutated.
+// the positions of the body, which is exactly the classical desugaring, and
+// keeps the language. It does not always keep determinism: under an
+// enclosing loop the two copies of a symbol can both follow one position,
+// so (a+)*, (a | b+)* and (a | b+)+ are one-unambiguous (each symbol marks
+// one position) while their desugared forms (a·a*)* and so on are not.
+// Other numeric iterations are left untouched (package numeric handles them
+// natively). The input is not mutated.
 func DesugarPlus(e *Node) *Node {
 	switch e.Kind {
 	case KSym:

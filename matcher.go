@@ -159,29 +159,30 @@ func (e *Expr) Matcher(algo Algorithm) (*Matcher, error) {
 // a nondeterministic expression for every engine but NFA, so the engines
 // are built on the compile-time verdict and do not test it again.
 func (e *Expr) buildMatcher(algo Algorithm) (*Matcher, error) {
+	if algo == StarFreeScan && !e.stats.StarFree {
+		return nil, starfree.ErrNotStarFree
+	}
 	m := &Matcher{expr: e, algo: algo}
+	fol := e.followIndex()
 	var err error
 	switch algo {
 	case Table:
-		m.tab, err = table.New(e.tree, e.fol)
+		m.tab, err = table.New(e.tree, fol)
 		m.sim = m.tab
 	case KORE:
-		m.sim = kore.New(e.tree, e.fol)
+		m.sim = kore.New(e.tree, fol)
 	case Colored:
-		m.sim = colored.New(e.tree, e.fol, colored.Options{})
+		m.sim = colored.New(e.tree, fol, colored.Options{})
 	case ColoredBinary:
-		m.sim = colored.New(e.tree, e.fol, colored.Options{BinarySearch: true})
+		m.sim = colored.New(e.tree, fol, colored.Options{BinarySearch: true})
 	case PathDecomp:
-		m.sim, err = pathdecomp.New(e.tree, e.fol)
+		m.sim, err = pathdecomp.New(e.tree, fol)
 	case StarFreeScan:
-		if !e.stats.StarFree {
-			return nil, starfree.ErrNotStarFree
-		}
-		m.sim = starfree.NewScan(e.tree, e.fol)
+		m.sim = starfree.NewScan(e.tree, fol)
 	case Climbing:
-		m.sim = colored.NewClimbing(e.tree, e.fol)
+		m.sim = colored.NewClimbing(e.tree, fol)
 	case NFA:
-		m.nfa = kore.NewNFA(e.tree, e.fol)
+		m.nfa = kore.NewNFA(e.tree, fol)
 	}
 	if err != nil {
 		return nil, err
@@ -193,7 +194,7 @@ func (e *Expr) buildMatcher(algo Algorithm) (*Matcher, error) {
 // caller has checked that the expression is deterministic and star-free.
 func (e *Expr) batchEngine() *starfree.Batch {
 	e.batch.once.Do(func() {
-		e.batch.b = starfree.NewBatch(e.tree, e.fol)
+		e.batch.b = starfree.NewBatch(e.tree, e.followIndex())
 		batchBuilds.Add(1)
 	})
 	return e.batch.b

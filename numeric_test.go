@@ -14,6 +14,10 @@ func TestCompileNumeric(t *testing.T) {
 		{"(a{2,1000000000}b)*", Math, true},
 		{"item{3,7}", DTD, true},
 		{"(a{1,2}), a", DTD, false},
+		// With counters a 1-ORE can be nondeterministic, so the §3.3 test
+		// runs on every expression.
+		{"(a?){2}", Math, false},
+		{"(a{1,2}){2}", Math, false},
 	}
 	for _, c := range cases {
 		e, err := CompileNumeric(c.src, c.syntax)

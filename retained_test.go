@@ -11,9 +11,10 @@ import (
 
 // maxRetainedBytesPerNode bounds the live heap a compiled Expr keeps per
 // parse-tree node before any engine is built: the tree's parallel slices,
-// the LCA index, the alphabet and the verdict, about 95 B on this corpus.
-// Keeping the compile-time skeleta and normalized AST as well, with an
-// Euler-tour LCA, costs about 232 B.
+// the alphabet and the verdict, about 85 B on this corpus of 1-OREs. Their
+// follow index (the LCA index) is built by the first engine, and would
+// add about 9 B; keeping the compile-time skeleta and normalized AST as
+// well, with an Euler-tour LCA, costs about 232 B.
 const maxRetainedBytesPerNode = 128
 
 func TestRetainedBytesPerNode(t *testing.T) {
